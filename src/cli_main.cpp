@@ -44,6 +44,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -305,6 +306,17 @@ struct CommonArgs {
   std::string stream_csv;                 ///< --stream-csv path; empty = off
 };
 
+/// --threads: 0 means hardware concurrency (the ThreadPool contract);
+/// negatives are rejected instead of letting the size_t cast wrap them
+/// into an absurd worker count.
+std::size_t thread_count(const Cli& cli) {
+  const std::int64_t threads = cli.get_int("threads", 0);
+  WDAG_REQUIRE(threads >= 0,
+               "--threads must be >= 0 (0 = hardware concurrency), got " +
+                   std::to_string(threads));
+  return static_cast<std::size_t>(threads);
+}
+
 CommonArgs read_common_args(const Cli& cli, std::size_t default_count) {
   CommonArgs a;
 
@@ -331,14 +343,7 @@ CommonArgs read_common_args(const Cli& cli, std::size_t default_count) {
       static_cast<std::size_t>(cli.get_int("exact-budget", 20'000'000));
   if (cli.has("force")) a.force = cli.get("force", "");
 
-  // --threads 0 means hardware concurrency (the ThreadPool contract);
-  // reject negatives instead of letting the size_t cast wrap them into
-  // an absurd worker count.
-  const std::int64_t threads = cli.get_int("threads", 0);
-  WDAG_REQUIRE(threads >= 0,
-               "--threads must be >= 0 (0 = hardware concurrency), got " +
-                   std::to_string(threads));
-  a.batch.threads = static_cast<std::size_t>(threads);
+  a.batch.threads = thread_count(cli);
   const std::int64_t chunk = cli.get_int("chunk", 16);
   WDAG_REQUIRE(chunk >= 1,
                "--chunk must be >= 1, got " + std::to_string(chunk));
@@ -922,25 +927,48 @@ int cmd_drive(const Cli& cli) {
   return 0;
 }
 
-// SIGINT/SIGTERM flag of `wdag worker` (the serve pattern: flip a flag,
-// the accept loop polls it every tick and exits cleanly).
-volatile std::sig_atomic_t g_worker_stop = 0;
+// SIGINT/SIGTERM flag of `wdag worker` and `wdag serve`: the handler
+// only flips the flag; the server core's accept loop polls it every tick
+// and then DRAINS — in-flight and admitted work completes, new work is
+// refused, and the command exits 0. Contrast with drive, which exits
+// 128+signal: a served drain is the intended shutdown, not an abort.
+volatile std::sig_atomic_t g_server_stop = 0;
 
-void worker_signal_handler(int) { g_worker_stop = 1; }
+void server_signal_handler(int) { g_server_stop = 1; }
 
-int cmd_worker(const Cli& cli) {
-  wdag::remote::ShardWorkerOptions options;
-  options.host = cli.get("host", "127.0.0.1");
+/// Arms SIGINT/SIGTERM for a server command; returns its external_stop.
+std::function<bool()> server_stop_hook() {
+  g_server_stop = 0;
+  std::signal(SIGINT, server_signal_handler);
+  std::signal(SIGTERM, server_signal_handler);
+  return [] { return g_server_stop != 0; };
+}
+
+/// --port of a server command (0 = ephemeral).
+std::uint16_t listen_port(const Cli& cli) {
   const std::int64_t port = cli.get_int("port", 0);
   WDAG_REQUIRE(port >= 0 && port <= 65535,
                "--port must be in [0, 65535] (0 = ephemeral), got " +
                    std::to_string(port));
-  options.port = static_cast<std::uint16_t>(port);
-  const std::int64_t threads = cli.get_int("threads", 0);
-  WDAG_REQUIRE(threads >= 0,
-               "--threads must be >= 0 (0 = hardware concurrency), got " +
-                   std::to_string(threads));
-  options.engine_threads = static_cast<std::size_t>(threads);
+  return static_cast<std::uint16_t>(port);
+}
+
+/// --port-file: write-then-rename so a script that saw the file appear
+/// never reads a half-written port number.
+void write_port_file(const Cli& cli, std::uint16_t port) {
+  if (!cli.has("port-file")) return;
+  const std::string path = cli.get("port-file", "");
+  WDAG_REQUIRE(!path.empty(), "--port-file requires a path");
+  const std::string tmp = path + ".tmp";
+  write_output(tmp, std::to_string(port) + "\n");
+  std::filesystem::rename(tmp, path);
+}
+
+int cmd_worker(const Cli& cli) {
+  wdag::remote::ShardWorkerOptions options;
+  options.host = cli.get("host", "127.0.0.1");
+  options.port = listen_port(cli);
+  options.engine_threads = thread_count(cli);
   const std::string schedule = cli.get("schedule", "fixed");
   if (schedule == "stealing") {
     options.schedule = wdag::core::Schedule::kStealing;
@@ -953,23 +981,11 @@ int cmd_worker(const Cli& cli) {
   WDAG_REQUIRE(options.idle_timeout_ms >= 0.0,
                "--idle-timeout-ms must be >= 0 (0 = never)");
   options.hooks = wdag::remote::ShardWorkerHooks::from_env();
-
-  g_worker_stop = 0;
-  std::signal(SIGINT, worker_signal_handler);
-  std::signal(SIGTERM, worker_signal_handler);
-  options.external_stop = [] { return g_worker_stop != 0; };
+  options.external_stop = server_stop_hook();
 
   const std::string host = options.host;
   wdag::remote::ShardWorker worker(std::move(options));
-  if (cli.has("port-file")) {
-    // Write-then-rename so a script that saw the file appear never reads
-    // a half-written port number.
-    const std::string path = cli.get("port-file", "");
-    WDAG_REQUIRE(!path.empty(), "--port-file requires a path");
-    const std::string tmp = path + ".tmp";
-    write_output(tmp, std::to_string(worker.port()) + "\n");
-    std::filesystem::rename(tmp, path);
-  }
+  write_port_file(cli, worker.port());
   std::cout << "wdag worker: listening on " << host << ":" << worker.port()
             << std::endl;
   worker.run();
@@ -979,23 +995,10 @@ int cmd_worker(const Cli& cli) {
   return 0;
 }
 
-// SIGINT/SIGTERM flag of `wdag serve` (the PR 7 drive pattern): the
-// handler only flips the flag; the accept loop polls it every tick and
-// then DRAINS — in-flight and admitted work completes, new work is
-// refused, and serve exits 0. Contrast with drive, which exits
-// 128+signal: a served drain is the intended shutdown, not an abort.
-volatile std::sig_atomic_t g_serve_stop = 0;
-
-void serve_signal_handler(int) { g_serve_stop = 1; }
-
 int cmd_serve(const Cli& cli) {
   wdag::ServeOptions options;
   options.host = cli.get("host", "127.0.0.1");
-  const std::int64_t port = cli.get_int("port", 0);
-  WDAG_REQUIRE(port >= 0 && port <= 65535,
-               "--port must be in [0, 65535] (0 = ephemeral), got " +
-                   std::to_string(port));
-  options.port = static_cast<std::uint16_t>(port);
+  options.port = listen_port(cli);
   const std::int64_t queue = cli.get_int("queue", 64);
   WDAG_REQUIRE(queue >= 1, "--queue must be >= 1, got " +
                                std::to_string(queue));
@@ -1003,11 +1006,7 @@ int cmd_serve(const Cli& cli) {
   options.default_deadline_ms = cli.get_double("deadline-ms", 0.0);
   WDAG_REQUIRE(options.default_deadline_ms >= 0.0,
                "--deadline-ms must be >= 0 (0 = none)");
-  const std::int64_t threads = cli.get_int("threads", 0);
-  WDAG_REQUIRE(threads >= 0,
-               "--threads must be >= 0 (0 = hardware concurrency), got " +
-                   std::to_string(threads));
-  options.engine_threads = static_cast<std::size_t>(threads);
+  options.engine_threads = thread_count(cli);
   const std::int64_t max_connections = cli.get_int("max-connections", 0);
   WDAG_REQUIRE(max_connections >= 0,
                "--max-connections must be >= 0 (0 = unlimited), got " +
@@ -1023,23 +1022,12 @@ int cmd_serve(const Cli& cli) {
   options.enable_test_hooks =
       std::getenv("WDAG_SERVE_TEST_HOOKS") != nullptr;
 
-  g_serve_stop = 0;
-  std::signal(SIGINT, serve_signal_handler);
-  std::signal(SIGTERM, serve_signal_handler);
-  options.external_stop = [] { return g_serve_stop != 0; };
+  options.external_stop = server_stop_hook();
 
   const std::string host = options.host;
   const std::size_t capacity = options.queue_capacity;
   wdag::Server server(std::move(options));
-  if (cli.has("port-file")) {
-    // Write-then-rename so a script that saw the file appear never reads
-    // a half-written port number.
-    const std::string path = cli.get("port-file", "");
-    WDAG_REQUIRE(!path.empty(), "--port-file requires a path");
-    const std::string tmp = path + ".tmp";
-    write_output(tmp, std::to_string(server.port()) + "\n");
-    std::filesystem::rename(tmp, path);
-  }
+  write_port_file(cli, server.port());
   std::cout << "wdag serve: listening on " << host << ":" << server.port()
             << " (queue " << capacity << ")" << std::endl;
   server.run();

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <exception>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "api/request.hpp"
@@ -18,9 +19,6 @@ namespace wdag::remote {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Accept / read poll tick: stop flags are noticed within one tick.
-constexpr int kTickMs = 200;
 
 /// Granularity of interruptible hook sleeps.
 constexpr int kSleepTickMs = 50;
@@ -55,110 +53,43 @@ ShardWorkerHooks ShardWorkerHooks::from_env() {
 
 ShardWorker::ShardWorker(ShardWorkerOptions options)
     : options_(std::move(options)),
-      listener_(util::TcpListener::listen(options_.host, options_.port)),
-      engine_(api::EngineOptions{options_.engine_threads, {}}) {
+      engine_(api::EngineOptions{options_.engine_threads, {}}),
+      core_({options_.host, options_.port, /*max_connections=*/0,
+             options_.idle_timeout_ms, options_.external_stop},
+            [this](util::TcpConn& conn, const std::string& line) {
+              return handle_line(conn, line);
+            }) {
   slow_pings_left_.store(options_.hooks.slow_heartbeat_count,
                          std::memory_order_relaxed);
 }
 
-ShardWorker::~ShardWorker() {
-  request_stop();
-  join();
-  // run() joins sessions before returning; if run() was never entered
-  // nothing was spawned.
-}
-
-std::uint16_t ShardWorker::port() const {
-  return static_cast<std::uint16_t>(listener_.port());
-}
-
-void ShardWorker::run() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    if (options_.external_stop && options_.external_stop()) break;
-    auto conn = listener_.accept(kTickMs);
-    if (!conn) continue;
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions_.emplace_back(&ShardWorker::session_loop, this,
-                           std::move(*conn));
-  }
-  stop_.store(true, std::memory_order_relaxed);
-  const std::lock_guard<std::mutex> lock(sessions_mutex_);
-  for (std::thread& session : sessions_) session.join();
-  sessions_.clear();
-}
-
-void ShardWorker::start() {
-  run_thread_ = std::thread(&ShardWorker::run, this);
-}
-
-void ShardWorker::request_stop() {
-  stop_.store(true, std::memory_order_relaxed);
-}
-
-void ShardWorker::join() {
-  if (run_thread_.joinable()) run_thread_.join();
-}
-
 void ShardWorker::interruptible_sleep(int ms) {
   const auto deadline = Clock::now() + std::chrono::milliseconds(ms);
-  while (!stop_.load(std::memory_order_relaxed) &&
-         Clock::now() < deadline) {
+  while (!core_.stopping() && Clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(kSleepTickMs));
   }
 }
 
-void ShardWorker::session_loop(util::TcpConn conn) {
-  std::string line;
-  auto last_activity = Clock::now();
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const util::ReadStatus status = conn.read_line(line, kTickMs);
-    if (status == util::ReadStatus::kClosed) return;
-    if (status == util::ReadStatus::kTimeout) {
-      if (options_.idle_timeout_ms > 0.0 &&
-          std::chrono::duration<double, std::milli>(Clock::now() -
-                                                    last_activity)
-                  .count() > options_.idle_timeout_ms) {
-        return;  // silent session: close and free the thread
-      }
-      continue;
+bool ShardWorker::handle_line(util::TcpConn& conn, const std::string& line) {
+  // A line with a "type" field is a control message; anything else IS
+  // a shard manifest (its own format tag is "wdag_shard").
+  namespace mj = core::minjson;
+  std::optional<std::string> type;
+  try {
+    const mj::JsonValue v = mj::JsonParser(line, "worker request").parse();
+    if (const mj::JsonValue* t = mj::opt_field(v, "type", "worker request")) {
+      type = t->kind == mj::JsonValue::Kind::kString ? t->text : "";
     }
-    if (line.empty()) continue;
-    last_activity = Clock::now();
-
-    // A line with a "type" field is a control message; anything else IS
-    // a shard manifest (its own format tag is "wdag_shard").
-    bool is_control = false;
-    std::string type;
-    try {
-      const core::minjson::JsonValue v =
-          core::minjson::JsonParser(line, "worker request").parse();
-      if (const core::minjson::JsonValue* t =
-              core::minjson::opt_field(v, "type", "worker request")) {
-        is_control = true;
-        if (t->kind == core::minjson::JsonValue::Kind::kString) {
-          type = t->text;
-        }
-      }
-    } catch (const std::exception& e) {
-      if (!conn.write_line(core::wire::shard_error_header(e.what()))) return;
-      continue;
-    }
-    if (is_control) {
-      if (type == "ping") {
-        answer_ping(conn);
-        if (!conn.is_open()) return;
-      } else if (!conn.write_line(core::wire::shard_error_header(
-                     "unknown control type '" + type + "'"))) {
-        return;
-      }
-      continue;
-    }
-    serve_manifest(conn, line);
-    if (!conn.is_open()) return;  // drop-conn hook closed mid-payload
+  } catch (const std::exception& e) {
+    return conn.write_line(core::wire::shard_error_header(e.what()));
   }
+  if (!type) return serve_manifest(conn, line);
+  if (*type == "ping") return answer_ping(conn);
+  return conn.write_line(
+      core::wire::shard_error_header("unknown control type '" + *type + "'"));
 }
 
-void ShardWorker::answer_ping(util::TcpConn& conn) {
+bool ShardWorker::answer_ping(util::TcpConn& conn) {
   // The slow-heartbeat hook simulates a saturated or half-dead box: the
   // first N pings outlive the prober's timeout, so the transport burns
   // its miss budget and marks the worker unhealthy; ping N+1 answers
@@ -171,13 +102,11 @@ void ShardWorker::answer_ping(util::TcpConn& conn) {
     if (left > 0) interruptible_sleep(options_.hooks.slow_heartbeat_ms);
   }
   pings_.fetch_add(1, std::memory_order_relaxed);
-  if (!conn.write_line(
-          core::wire::pong_line(busy_.load(std::memory_order_relaxed)))) {
-    conn.close();
-  }
+  return conn.write_line(
+      core::wire::pong_line(busy_.load(std::memory_order_relaxed)));
 }
 
-void ShardWorker::serve_manifest(util::TcpConn& conn,
+bool ShardWorker::serve_manifest(util::TcpConn& conn,
                                  const std::string& line) {
   core::ShardManifest manifest;
   try {
@@ -186,22 +115,20 @@ void ShardWorker::serve_manifest(util::TcpConn& conn,
     manifest = core::parse_manifest(line);
   } catch (const std::exception& e) {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    conn.write_line(core::wire::shard_error_header(e.what()));
-    return;
+    return conn.write_line(core::wire::shard_error_header(e.what()));
   }
 
   if (options_.hooks.stall_first_ms > 0 &&
       !stall_fired_.exchange(true, std::memory_order_relaxed)) {
     interruptible_sleep(options_.hooks.stall_first_ms);
-    if (stop_.load(std::memory_order_relaxed)) return;
+    if (core_.stopping()) return false;
   }
   if (options_.hooks.fail_shard == manifest.shard &&
       !fail_fired_.exchange(true, std::memory_order_relaxed)) {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    conn.write_line(core::wire::shard_error_header(
+    return conn.write_line(core::wire::shard_error_header(
         "injected failure (WDAG_WORKER_FAIL_SHARD) on shard " +
         std::to_string(manifest.shard)));
-    return;
   }
 
   util::Timer timer;
@@ -242,8 +169,7 @@ void ShardWorker::serve_manifest(util::TcpConn& conn,
   } catch (const std::exception& e) {
     busy_.fetch_sub(1, std::memory_order_relaxed);
     failed_.fetch_add(1, std::memory_order_relaxed);
-    conn.write_line(core::wire::shard_error_header(e.what()));
-    return;
+    return conn.write_line(core::wire::shard_error_header(e.what()));
   }
   busy_.fetch_sub(1, std::memory_order_relaxed);
 
@@ -269,12 +195,11 @@ void ShardWorker::serve_manifest(util::TcpConn& conn,
     conn.write_line(header);
     conn.write_all(
         std::string_view(payload.data(), payload.size() / 2));
-    conn.close();
-    return;
+    return false;
   }
-  if (!conn.write_line(header)) return;
-  if (!conn.write_all(payload)) return;
+  if (!conn.write_line(header) || !conn.write_all(payload)) return false;
   served_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 }  // namespace wdag::remote

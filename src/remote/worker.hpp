@@ -3,8 +3,9 @@
 // attempts, the peer of core::TcpTransport (core/transport.hpp documents
 // the wire protocol).
 //
-// Thread shape mirrors serve::Server: an accept loop spawns one session
-// thread per connection; sessions read newline-delimited JSON requests.
+// Thread shape: util::LineServer (shared with `wdag serve`) runs one
+// session thread per open connection reading newline-delimited JSON
+// requests; this class handles the lines, with no session cap.
 // A "ping" control line is answered in-line by the session (so health
 // probes stay live while shards execute); any other line IS a shard
 // manifest — parse_manifest re-verifies its recorded plan/request hashes,
@@ -35,12 +36,10 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "api/engine.hpp"
 #include "core/batch.hpp"
-#include "util/socket.hpp"
+#include "util/line_server.hpp"
 
 namespace wdag::remote {
 
@@ -93,20 +92,20 @@ class ShardWorker {
   explicit ShardWorker(ShardWorkerOptions options);
 
   /// Joins everything; safe after run() returned or never ran.
-  ~ShardWorker();
+  ~ShardWorker() = default;
 
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
-  [[nodiscard]] std::uint16_t port() const;
+  [[nodiscard]] std::uint16_t port() const { return core_.port(); }
 
   /// Serves until request_stop() / the external stop hook fires.
-  void run();
+  void run() { core_.run(); }
   /// run() on an internal thread (tests drive the worker this way).
-  void start();
-  void request_stop();
+  void start() { core_.start(); }
+  void request_stop() { core_.request_stop(); }
   /// Joins the start() thread (no-op without start()).
-  void join();
+  void join() { core_.join(); }
 
   [[nodiscard]] std::size_t shards_served() const {
     return served_.load(std::memory_order_relaxed);
@@ -119,18 +118,17 @@ class ShardWorker {
   }
 
  private:
-  void session_loop(util::TcpConn conn);
-  void answer_ping(util::TcpConn& conn);
-  void serve_manifest(util::TcpConn& conn, const std::string& line);
+  // Each returns false when the session must close.
+  bool handle_line(util::TcpConn& conn, const std::string& line);
+  bool answer_ping(util::TcpConn& conn);
+  bool serve_manifest(util::TcpConn& conn, const std::string& line);
   /// Sleeps `ms` in short ticks, returning early on stop.
   void interruptible_sleep(int ms);
 
   ShardWorkerOptions options_;
-  util::TcpListener listener_;
   api::Engine engine_;
   std::mutex engine_mutex_;  ///< one shard runs at a time per engine
 
-  std::atomic<bool> stop_{false};
   std::atomic<std::size_t> served_{0};
   std::atomic<std::size_t> failed_{0};
   std::atomic<std::size_t> pings_{0};
@@ -143,9 +141,7 @@ class ShardWorker {
   std::atomic<bool> stall_fired_{false};
   std::atomic<std::size_t> slow_pings_left_{0};
 
-  std::thread run_thread_;  ///< start()'s thread
-  std::mutex sessions_mutex_;
-  std::vector<std::thread> sessions_;
+  util::LineServer core_;
 };
 
 }  // namespace wdag::remote

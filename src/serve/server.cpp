@@ -12,9 +12,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Accept / read poll tick: stop flags are noticed within one tick.
-constexpr int kTickMs = 200;
-
 Clock::duration millis_duration(double ms) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(ms));
@@ -78,60 +75,29 @@ std::string service_job(api::Engine& engine, Job& job, ServeStats& stats,
 
 Server::Server(ServeOptions options)
     : options_(std::move(options)),
-      listener_(util::TcpListener::listen(options_.host, options_.port)),
       engine_(api::EngineOptions{options_.engine_threads, options_.solve}),
       queue_(options_.queue_capacity),
-      started_at_(Clock::now()) {}
+      started_at_(Clock::now()),
+      core_({options_.host, options_.port, options_.max_connections,
+             options_.idle_timeout_ms, options_.external_stop},
+            [this](util::TcpConn& conn, const std::string& line) {
+              return conn.write_line(answer(line));
+            },
+            [this](util::TcpConn& conn, bool admitted) {
+              stats_.on_connection();
+              if (admitted) return;
+              stats_.on_rejected_max_connections();
+              conn.write_line(rejected_response_json("", "max_connections"));
+            }),
+      worker_(&Server::worker_loop, this) {}
 
 Server::~Server() {
   request_stop();
   join();
-  // run() joins worker and sessions before returning; if run() was never
-  // entered nothing was spawned.
-}
-
-std::uint16_t Server::port() const {
-  return static_cast<std::uint16_t>(listener_.port());
-}
-
-void Server::run() {
-  worker_ = std::thread(&Server::worker_loop, this);
-  while (!stop_.load(std::memory_order_relaxed)) {
-    if (options_.external_stop && options_.external_stop()) break;
-    auto conn = listener_.accept(kTickMs);
-    if (!conn) continue;
-    stats_.on_connection();
-    if (options_.max_connections > 0 &&
-        active_.load(std::memory_order_relaxed) >= options_.max_connections) {
-      // Saturated: one clear wire error, then close — the accept loop
-      // never blocks and never grows an unbounded thread herd.
-      stats_.on_rejected_max_connections();
-      conn->write_line(rejected_response_json("", "max_connections"));
-      continue;
-    }
-    active_.fetch_add(1, std::memory_order_relaxed);
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions_.emplace_back(&Server::session_loop, this, std::move(*conn));
-  }
-  // Graceful drain: refuse new work, service the admitted backlog, then
-  // join. Sessions blocked on a future are released by the worker drain
-  // and exit on their next read tick.
-  stop_.store(true, std::memory_order_relaxed);
+  // Every session is joined, so every admitted job was answered: the
+  // queue is empty and closing it just releases the worker.
   queue_.close();
   worker_.join();
-  const std::lock_guard<std::mutex> lock(sessions_mutex_);
-  for (std::thread& session : sessions_) session.join();
-  sessions_.clear();
-}
-
-void Server::start() { run_thread_ = std::thread(&Server::run, this); }
-
-void Server::request_stop() {
-  stop_.store(true, std::memory_order_relaxed);
-}
-
-void Server::join() {
-  if (run_thread_.joinable()) run_thread_.join();
 }
 
 void Server::worker_loop() {
@@ -143,75 +109,41 @@ void Server::worker_loop() {
   }
 }
 
-void Server::session_loop(util::TcpConn conn) {
-  // The cap's gauge must drop on EVERY exit path of the session.
-  struct ActiveGuard {
-    std::atomic<std::size_t>& active;
-    ~ActiveGuard() { active.fetch_sub(1, std::memory_order_relaxed); }
-  } guard{active_};
-  std::string line;
-  auto last_activity = Clock::now();
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const util::ReadStatus status = conn.read_line(line, kTickMs);
-    if (status == util::ReadStatus::kTimeout) {
-      if (options_.idle_timeout_ms > 0.0 &&
-          Clock::now() - last_activity >
-              millis_duration(options_.idle_timeout_ms)) {
-        return;  // silent client: close and free the session thread
-      }
-      continue;
+std::string Server::answer(const std::string& line) {
+  stats_.on_request();
+  try {
+    WireRequest request = parse_request(line);
+    if (request.kind == RequestKind::kStats) {
+      stats_.on_stats();
+      const double uptime =
+          std::chrono::duration<double>(Clock::now() - started_at_).count();
+      return stats_.to_json(uptime, queue_.depth(), queue_.capacity());
     }
-    if (status == util::ReadStatus::kClosed) return;
-    if (line.empty()) continue;
-    last_activity = Clock::now();
-
-    stats_.on_request();
-    std::string response;
-    try {
-      WireRequest request = parse_request(line);
-      if (request.kind == RequestKind::kStats) {
-        stats_.on_stats();
-        const double uptime =
-            std::chrono::duration<double>(Clock::now() - started_at_).count();
-        response =
-            stats_.to_json(uptime, queue_.depth(), queue_.capacity());
-      } else {
-        Job job;
-        job.request = std::move(request);
-        job.enqueued_at = Clock::now();
-        const double deadline_ms = job.request.deadline_ms > 0
-                                       ? job.request.deadline_ms
-                                       : options_.default_deadline_ms;
-        if (deadline_ms > 0) {
-          job.has_deadline = true;
-          job.deadline = job.enqueued_at + millis_duration(deadline_ms);
-        }
-        const std::string id = job.request.id;
-        std::future<std::string> reply = job.reply.get_future();
-        if (stop_.load(std::memory_order_relaxed)) {
-          stats_.on_rejected_shutdown();
-          response = rejected_response_json(id, "shutdown");
-        } else if (!queue_.try_push(std::move(job))) {
-          if (queue_.is_closed()) {
-            stats_.on_rejected_shutdown();
-            response = rejected_response_json(id, "shutdown");
-          } else {
-            stats_.on_rejected_queue_full();
-            response = rejected_response_json(id, "queue_full");
-          }
-        } else {
-          stats_.on_admitted();
-          response = reply.get();
-        }
-      }
-    } catch (const std::exception& e) {
-      stats_.on_error();
-      response = error_response_json("", e.what());
+    Job job;
+    job.request = std::move(request);
+    job.enqueued_at = Clock::now();
+    const double deadline_ms = job.request.deadline_ms > 0
+                                   ? job.request.deadline_ms
+                                   : options_.default_deadline_ms;
+    if (deadline_ms > 0) {
+      job.has_deadline = true;
+      job.deadline = job.enqueued_at + millis_duration(deadline_ms);
     }
-    // A client that hung up mid-response is not an error worth keeping
-    // the session for — write_all absorbs EPIPE (SIGPIPE is ignored
-    // process-wide) and we just close our side.
-    if (!conn.write_line(response)) return;
+    const std::string id = job.request.id;
+    std::future<std::string> reply = job.reply.get_future();
+    if (core_.stopping()) {
+      stats_.on_rejected_shutdown();
+      return rejected_response_json(id, "shutdown");
+    }
+    if (!queue_.try_push(std::move(job))) {
+      stats_.on_rejected_queue_full();
+      return rejected_response_json(id, "queue_full");
+    }
+    stats_.on_admitted();
+    return reply.get();
+  } catch (const std::exception& e) {
+    stats_.on_error();
+    return error_response_json("", e.what());
   }
 }
 

@@ -4,13 +4,15 @@
 //
 // Thread shape:
 //
-//   accept loop (run() caller) --> session thread per connection
+//   util::LineServer (accept loop) --> session thread per connection
 //                                        |  parse, admit, wait
 //                                        v
 //                                  AdmissionQueue (bounded)
 //                                        |
 //                                        v
 //                                  worker thread --> api::Engine
+//
+// util/line_server.hpp owns the connections; this class handles lines.
 //
 // ONE worker drains the queue because Engine::run_batch runs one batch
 // at a time per engine — parallelism lives inside the engine's pool
@@ -24,24 +26,21 @@
 // slow client never occupies the worker — only its own session thread.
 //
 // Shutdown (SIGINT/SIGTERM via the external stop hook, or
-// request_stop()): stop accepting, tell sessions to stop reading new
-// requests, close the queue, let the worker DRAIN the admitted backlog
-// (in-flight work completes; drained jobs still get a response), join
-// everything, exit cleanly. Refuse-new + drain-old, never drop.
+// request_stop()): stop accepting, refuse new requests, and let the
+// worker DRAIN the admitted backlog while run() joins the sessions
+// (in-flight work completes; drained jobs still get a response); the
+// destructor joins the idle worker. Refuse-new + drain-old, never drop.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "api/engine.hpp"
 #include "serve/admission.hpp"
 #include "serve/stats.hpp"
-#include "util/socket.hpp"
+#include "util/line_server.hpp"
 
 namespace wdag::serve {
 
@@ -91,41 +90,36 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// The bound port (the ephemeral one when options.port was 0).
-  [[nodiscard]] std::uint16_t port() const;
+  [[nodiscard]] std::uint16_t port() const { return core_.port(); }
 
   /// Serves until request_stop() / the external stop hook fires, then
   /// drains and returns. Call from the owning thread (the CLI) or via
   /// start().
-  void run();
+  void run() { core_.run(); }
 
   /// run() on an internal thread (tests drive the server this way).
-  void start();
+  void start() { core_.start(); }
 
   /// Initiates graceful shutdown; run() returns after the drain.
-  void request_stop();
+  void request_stop() { core_.request_stop(); }
 
   /// Joins the start() thread (no-op without start()).
-  void join();
+  void join() { core_.join(); }
 
   [[nodiscard]] const ServeStats& stats() const { return stats_; }
 
  private:
   void worker_loop();
-  void session_loop(util::TcpConn conn);
+  /// The response line to one request line (never throws).
+  std::string answer(const std::string& line);
 
   ServeOptions options_;
-  util::TcpListener listener_;
   api::Engine engine_;
   AdmissionQueue queue_;
   ServeStats stats_;
   std::chrono::steady_clock::time_point started_at_;
-
-  std::atomic<bool> stop_{false};        ///< refuse new work
-  std::atomic<std::size_t> active_{0};   ///< open sessions (the cap's gauge)
+  util::LineServer core_;
   std::thread worker_;
-  std::thread run_thread_;         ///< start()'s thread
-  std::mutex sessions_mutex_;
-  std::vector<std::thread> sessions_;
 };
 
 /// Services ONE admitted job against the engine and returns the response

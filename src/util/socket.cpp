@@ -4,6 +4,39 @@
 
 #include "util/check.hpp"
 
+namespace wdag::util {
+
+// Ownership is platform-neutral; close() and the I/O are per platform.
+TcpConn::TcpConn(TcpConn&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), buffer_(std::move(other.buffer_)) {}
+
+TcpConn& TcpConn::operator=(TcpConn&& other) noexcept {
+  if (this != &other) {
+    close();
+    fd_ = std::exchange(other.fd_, -1);
+    buffer_ = std::move(other.buffer_);
+  }
+  return *this;
+}
+
+TcpConn::~TcpConn() { close(); }
+
+TcpListener::TcpListener(TcpListener&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), port_(other.port_) {}
+
+TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {
+  if (this != &other) {
+    close();
+    fd_ = std::exchange(other.fd_, -1);
+    port_ = other.port_;
+  }
+  return *this;
+}
+
+TcpListener::~TcpListener() { close(); }
+
+}  // namespace wdag::util
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
 #include <cerrno>
@@ -18,6 +51,9 @@
 
 #ifndef MSG_NOSIGNAL
 #define MSG_NOSIGNAL 0
+#endif
+#ifndef SOCK_CLOEXEC
+#define SOCK_CLOEXEC 0
 #endif
 
 namespace wdag::util {
@@ -69,6 +105,14 @@ bool wait_readable(int fd, int timeout_ms) {
   return wait_for(fd, POLLIN, timeout_ms);
 }
 
+// Every socket is close-on-exec, so no spawned child (a local `shard
+// run` slot beside remote workers) inherits a connection. cloexec() sets
+// the flag where SOCK_CLOEXEC could not (F_SETFD fails only on a bad fd).
+int cloexec(int fd) {
+  if (SOCK_CLOEXEC == 0 && fd >= 0) ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+  return fd;
+}
+
 }  // namespace
 
 // --- TcpConn ---------------------------------------------------------------
@@ -76,7 +120,7 @@ bool wait_readable(int fd, int timeout_ms) {
 TcpConn TcpConn::connect(const std::string& host, int port,
                          int connect_timeout_ms) {
   const sockaddr_in addr = make_addr(host, port);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = cloexec(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (fd < 0) fail_errno("socket()");
   const std::string where = host + ":" + std::to_string(port);
   const auto fail_with = [&](int err, const std::string& what) -> void {
@@ -115,20 +159,6 @@ TcpConn TcpConn::connect(const std::string& host, int port,
   }
   return TcpConn(fd);
 }
-
-TcpConn::TcpConn(TcpConn&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), buffer_(std::move(other.buffer_)) {}
-
-TcpConn& TcpConn::operator=(TcpConn&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    buffer_ = std::move(other.buffer_);
-  }
-  return *this;
-}
-
-TcpConn::~TcpConn() { close(); }
 
 void TcpConn::close() {
   if (fd_ >= 0) {
@@ -215,7 +245,7 @@ bool TcpConn::write_line(std::string_view line) {
 
 TcpListener TcpListener::listen(const std::string& host, int port) {
   const sockaddr_in addr = make_addr(host, port);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = cloexec(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (fd < 0) fail_errno("socket()");
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -244,20 +274,6 @@ TcpListener TcpListener::listen(const std::string& host, int port) {
   return l;
 }
 
-TcpListener::TcpListener(TcpListener&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), port_(other.port_) {}
-
-TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    port_ = other.port_;
-  }
-  return *this;
-}
-
-TcpListener::~TcpListener() { close(); }
-
 void TcpListener::close() {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -268,7 +284,11 @@ void TcpListener::close() {
 std::optional<TcpConn> TcpListener::accept(int timeout_ms) {
   if (fd_ < 0) return std::nullopt;
   if (!wait_readable(fd_, timeout_ms)) return std::nullopt;
-  const int fd = ::accept(fd_, nullptr, nullptr);
+#ifdef __linux__
+  const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
+#else
+  const int fd = cloexec(::accept(fd_, nullptr, nullptr));
+#endif
   if (fd < 0) return std::nullopt;
   return TcpConn(fd);
 }
@@ -284,14 +304,6 @@ void ignore_sigpipe() {}
 TcpConn TcpConn::connect(const std::string&, int, int) {
   throw InternalError("TCP sockets require a POSIX platform");
 }
-TcpConn::TcpConn(TcpConn&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {}
-TcpConn& TcpConn::operator=(TcpConn&& other) noexcept {
-  fd_ = other.fd_;
-  buffer_ = std::move(other.buffer_);
-  return *this;
-}
-TcpConn::~TcpConn() = default;
 void TcpConn::close() { fd_ = -1; }
 ReadStatus TcpConn::read_line(std::string&, int) { return ReadStatus::kClosed; }
 ReadStatus TcpConn::read_exact(std::string&, std::size_t, int) {
@@ -303,14 +315,6 @@ bool TcpConn::write_line(std::string_view) { return false; }
 TcpListener TcpListener::listen(const std::string&, int) {
   throw InternalError("TCP sockets require a POSIX platform");
 }
-TcpListener::TcpListener(TcpListener&& other) noexcept
-    : fd_(other.fd_), port_(other.port_) {}
-TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {
-  fd_ = other.fd_;
-  port_ = other.port_;
-  return *this;
-}
-TcpListener::~TcpListener() = default;
 void TcpListener::close() { fd_ = -1; }
 std::optional<TcpConn> TcpListener::accept(int) { return std::nullopt; }
 

@@ -1,9 +1,9 @@
 #pragma once
-// Minimal TCP primitives for the serve subsystem (serve/server.hpp,
-// serve/client.hpp): a listener with a poll-based interruptible accept,
-// and a connection wrapper speaking newline-delimited lines. POSIX-only,
-// like util/subprocess.hpp — the serve layer is the only consumer, and
-// everything degrades with a clear wdag::InternalError elsewhere.
+// Minimal TCP primitives: a listener with a poll-based interruptible
+// accept (under util::LineServer, the server core of serve and worker),
+// and a connection wrapper speaking newline-delimited lines. Every socket
+// is close-on-exec, so spawned children never inherit one. POSIX-only,
+// like util/subprocess.hpp; elsewhere a clear wdag::InternalError.
 //
 // Blocking calls take a timeout so loops stay interruptible: the server's
 // accept and read loops poll in short ticks and check their stop flags

@@ -1,8 +1,8 @@
 // util/socket.cpp error paths — the failure modes remote dispatch leans
 // on: a bounded dial against a peer that never answers, fast failure on
 // a refused port, header+payload sharing one TCP segment, a peer that
-// vanishes mid-payload, and EINTR storms that must neither shorten nor
-// un-bound a poll deadline.
+// vanishes mid-payload, EINTR storms that must neither shorten nor
+// un-bound a poll deadline, and close-on-exec on every kind of socket.
 //
 // POSIX-only machinery (raw listen() backlogs, pthread_kill); the whole
 // suite is compiled on the same platforms as the socket implementation.
@@ -17,8 +17,11 @@
 #include <arpa/inet.h>
 #include <chrono>
 #include <csignal>
+#include <fcntl.h>
+#include <filesystem>
 #include <netinet/in.h>
 #include <pthread.h>
+#include <set>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
@@ -162,6 +165,45 @@ TEST(SocketTest, WriteToAVanishedPeerReturnsFalse) {
   }
   EXPECT_FALSE(ok);
 }
+
+#if defined(__linux__)
+/// The fd numbers of this process's open sockets (from /proc/self/fd).
+std::set<int> socket_fds() {
+  std::set<int> fds;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const std::filesystem::path target =
+        std::filesystem::read_symlink(entry.path(), ec);
+    if (!ec && target.string().rfind("socket:", 0) == 0) {
+      fds.insert(std::stoi(entry.path().filename().string()));
+    }
+  }
+  return fds;
+}
+
+TEST(SocketTest, ListenedAcceptedAndDialedSocketsAreCloseOnExec) {
+  // A drive that mixes local `shard run` children with remote workers
+  // spawns while its TcpTransport connections are open; no child may
+  // inherit one.
+  const std::set<int> before = socket_fds();
+  TcpListener listener = TcpListener::listen("127.0.0.1", 0);
+  TcpConn client = TcpConn::connect("127.0.0.1", listener.port(), 1000);
+  auto server = listener.accept(1000);
+  ASSERT_TRUE(server.has_value());
+
+  std::vector<int> opened;
+  for (const int fd : socket_fds()) {
+    if (before.count(fd) == 0) opened.push_back(fd);
+  }
+  ASSERT_EQ(opened.size(), 3u) << "listener, dialed and accepted sockets";
+  for (const int fd : opened) {
+    const int flags = ::fcntl(fd, F_GETFD);
+    ASSERT_GE(flags, 0);
+    EXPECT_NE(flags & FD_CLOEXEC, 0) << "socket fd " << fd;
+  }
+}
+#endif
 
 TEST(SocketTest, EintrDuringPollNeitherShortensNorUnboundsTheDeadline) {
   // A no-op SIGUSR1 handler installed WITHOUT SA_RESTART makes every
