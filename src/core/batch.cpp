@@ -300,7 +300,7 @@ util::Table BatchReport::rows_table(bool with_latency) const {
         static_cast<long long>(e.load),
         static_cast<long long>(e.wavelengths),
         static_cast<long long>(e.optimal ? 1 : 0)};
-    if (with_latency) row.push_back(e.millis);
+    if (with_latency) row.emplace_back(e.millis);
     table.add_row(std::move(row));
   }
   return table;

@@ -12,8 +12,8 @@ namespace wdag::core {
 
 using graph::ArcId;
 using graph::Digraph;
-using paths::Dipath;
 using paths::DipathFamily;
+using paths::FlatFamily;
 using paths::PathId;
 
 namespace {
@@ -46,7 +46,7 @@ Scratch& scratch() {
 
 /// Incremental state of the reverse arc-replay.
 struct Replay {
-  const DipathFamily& family;
+  const FlatFamily& family;
   const Digraph& g;
   Scratch& s;
   /// Current palette size (running max load == pi of the replayed graph).
@@ -55,27 +55,23 @@ struct Replay {
   std::size_t chain_recolorings = 0;
   std::size_t paths_flipped = 0;
 
-  explicit Replay(const DipathFamily& fam)
-      : family(fam), g(fam.graph()), s(scratch()) {
+  Replay(const Digraph& host, const FlatFamily& fam)
+      : family(fam), g(host), s(scratch()) {
     const std::size_t n = family.size();
     // CSR incidence: entries of arc a at [inc_offsets[a], inc_offsets[a+1]),
     // filled in (path id, position) order like the per-arc vectors were.
     s.inc_offsets.assign(g.num_arcs() + 1, 0);
-    std::size_t total = 0;
-    for (const Dipath& p : family.paths()) {
-      for (const ArcId a : p.arcs) ++s.inc_offsets[a + 1];
-      total += p.arcs.size();
-    }
+    for (const ArcId a : family.arcs) ++s.inc_offsets[a + 1];
     for (std::size_t a = 0; a < g.num_arcs(); ++a) {
       s.inc_offsets[a + 1] += s.inc_offsets[a];
     }
-    s.inc_entries.resize(total);
+    s.inc_entries.resize(family.arcs.size());
     s.begin.resize(n);
     s.color.assign(n, kNone);
     s.flipped.assign(n, 0);
     s.cursor.assign(s.inc_offsets.begin(), s.inc_offsets.end() - 1);
     for (PathId p = 0; p < n; ++p) {
-      const auto& arcs = family.path(p).arcs;
+      const auto arcs = family.path(p);
       s.begin[p] = static_cast<std::uint32_t>(arcs.size());
       for (std::uint32_t i = 0; i < arcs.size(); ++i) {
         s.inc_entries[s.cursor[arcs[i]]++] = IncEntry{p, i};
@@ -85,7 +81,7 @@ struct Replay {
 
   /// True when path p currently has at least one active arc.
   [[nodiscard]] bool active(PathId p) const {
-    return s.begin[p] < family.path(p).arcs.size();
+    return s.begin[p] < family.path(p).size();
   }
 
   /// Appends to `out` (deduplicated) the paths with the given color sharing
@@ -94,7 +90,7 @@ struct Replay {
   /// it is replayed.
   void conflicts_with_color(PathId p, std::uint32_t wanted,
                             std::vector<PathId>& out) const {
-    const auto& arcs = family.path(p).arcs;
+    const auto arcs = family.path(p);
     for (std::uint32_t i = s.begin[p]; i < arcs.size(); ++i) {
       const ArcId a = arcs[i];
       for (std::uint32_t e = s.inc_offsets[a]; e < s.inc_offsets[a + 1]; ++e) {
@@ -236,19 +232,9 @@ struct Replay {
 
 }  // namespace
 
-Theorem1Result color_equal_load(const DipathFamily& family, bool preverified) {
-  const Digraph& g = family.graph();
-  if (!preverified) {
-    WDAG_DOMAIN(graph::is_dag(g), "color_equal_load: host graph is not a DAG");
-    WDAG_DOMAIN(!dag::has_internal_cycle(g),
-                "color_equal_load: host graph has an internal cycle; "
-                "Theorem 1 does not apply (use the split-merge solver)");
-  }
-
-  Theorem1Result res;
-  if (family.empty()) return res;
-
-  Replay replay(family);
+void color_equal_load_into(const Digraph& g, const FlatFamily& family,
+                           Theorem1Result& res) {
+  Replay replay(g, family);
   thread_local std::vector<ArcId> removal_order;
   graph::arcs_in_tail_topo_order_into(g, removal_order);
   for (auto it = removal_order.rbegin(); it != removal_order.rend(); ++it) {
@@ -266,6 +252,25 @@ Theorem1Result color_equal_load(const DipathFamily& family, bool preverified) {
   res.wavelengths = conflict::num_colors(res.coloring);
   res.chain_recolorings = replay.chain_recolorings;
   res.paths_flipped = replay.paths_flipped;
+  WDAG_ASSERT(res.wavelengths == res.load,
+              "theorem1: wavelength count differs from the load");
+}
+
+Theorem1Result color_equal_load(const DipathFamily& family, bool preverified) {
+  const Digraph& g = family.graph();
+  if (!preverified) {
+    WDAG_DOMAIN(graph::is_dag(g), "color_equal_load: host graph is not a DAG");
+    WDAG_DOMAIN(!dag::has_internal_cycle(g),
+                "color_equal_load: host graph has an internal cycle; "
+                "Theorem 1 does not apply (use the split-merge solver)");
+  }
+
+  Theorem1Result res;
+  if (family.empty()) return res;
+
+  thread_local FlatFamily flat;
+  flat.assign(family);
+  color_equal_load_into(g, flat, res);
 
   // The replay keeps per-arc colors distinct invariantly (the
   // distinct-color loop re-establishes it at every restored arc), so the
@@ -274,8 +279,6 @@ Theorem1Result color_equal_load(const DipathFamily& family, bool preverified) {
   WDAG_ASSERT(preverified ||
                   conflict::is_valid_assignment(family, res.coloring),
               "theorem1: produced an invalid wavelength assignment");
-  WDAG_ASSERT(res.wavelengths == res.load,
-              "theorem1: wavelength count differs from the load");
   return res;
 }
 

@@ -28,6 +28,7 @@
 
 #include "conflict/coloring.hpp"
 #include "paths/family.hpp"
+#include "paths/flat_family.hpp"
 
 namespace wdag::core {
 
@@ -54,5 +55,13 @@ struct Theorem1Result {
 /// split-merge recursion re-checks at every level).
 Theorem1Result color_equal_load(const paths::DipathFamily& family,
                                 bool preverified = false);
+
+/// The Theorem-1 replay over a flat path list on g: the trusted-caller
+/// contract of color_equal_load(family, true) (no precondition checks, the
+/// w == pi certificate kept) for the split-merge leaf, which holds its
+/// levels in flat form. Writes into `res`, reusing its coloring's storage.
+void color_equal_load_into(const graph::Digraph& g,
+                           const paths::FlatFamily& family,
+                           Theorem1Result& res);
 
 }  // namespace wdag::core

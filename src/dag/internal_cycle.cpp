@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/properties.hpp"
 #include "util/check.hpp"
 #include "util/union_find.hpp"
 
@@ -14,23 +13,33 @@ using graph::VertexId;
 
 namespace {
 
-/// Arcs whose endpoints are both internal vertices per `mask` (computed
-/// once by the caller; the mask walk used to dominate these queries).
-std::vector<ArcId> internal_arcs(const Digraph& g,
-                                 const std::vector<bool>& mask) {
-  std::vector<ArcId> arcs;
-  const auto& all = g.arcs();
-  for (ArcId a = 0; a < all.size(); ++a) {
-    if (mask[all[a].tail] && mask[all[a].head]) arcs.push_back(a);
-  }
+/// Indegree and outdegree both positive.
+bool is_internal(const Digraph& g, VertexId v) {
+  return g.in_degree(v) > 0 && g.out_degree(v) > 0;
+}
+
+/// internal_arcs_into() into a per-thread buffer, for the one-shot queries.
+const std::vector<ArcId>& internal_arcs(const Digraph& g) {
+  thread_local std::vector<ArcId> arcs;
+  internal_arcs_into(g, arcs);
   return arcs;
 }
 
 }  // namespace
 
+void internal_arcs_into(const Digraph& g, std::vector<ArcId>& out) {
+  out.clear();
+  const auto& all = g.arcs();
+  for (ArcId a = 0; a < all.size(); ++a) {
+    if (is_internal(g, all[a].tail) && is_internal(g, all[a].head)) {
+      out.push_back(a);
+    }
+  }
+}
+
 bool has_internal_cycle(const Digraph& g) {
   util::UnionFind uf(g.num_vertices());
-  for (ArcId a : internal_arcs(g, graph::internal_vertex_mask(g))) {
+  for (ArcId a : internal_arcs(g)) {
     if (!uf.unite(g.tail(a), g.head(a))) return true;
   }
   return false;
@@ -41,22 +50,26 @@ std::size_t internal_cycle_count(const Digraph& g) {
   // close a cycle during union-find, i.e. m' - (n' - c').
   util::UnionFind uf(g.num_vertices());
   std::size_t closing = 0;
-  for (ArcId a : internal_arcs(g, graph::internal_vertex_mask(g))) {
+  for (ArcId a : internal_arcs(g)) {
     if (!uf.unite(g.tail(a), g.head(a))) ++closing;
   }
   return closing;
 }
 
 std::optional<OrientedCycle> find_internal_cycle(const Digraph& g) {
-  const auto mask = graph::internal_vertex_mask(g);
-  const auto arcs = internal_arcs(g, mask);
-  if (arcs.empty()) return std::nullopt;
+  OrientedCycle cyc;
+  if (!find_internal_cycle(g, internal_arcs(g), cyc)) return std::nullopt;
+  return cyc;
+}
 
-  // Undirected incidence restricted to internal arcs, in flat CSR form
-  // (the per-vertex vector-of-vectors was the hot allocation of the
-  // split-merge recursion). Entry order within a vertex matches the old
-  // push order — ascending arc id — so the DFS and the extracted cycle
-  // are unchanged.
+bool find_internal_cycle(const Digraph& g, std::span<const ArcId> arcs,
+                         OrientedCycle& out) {
+  out.steps.clear();
+  if (arcs.empty()) return false;
+
+  // Undirected incidence restricted to internal arcs, in flat CSR form.
+  // Entry order within a vertex is ascending arc id, so the DFS and the
+  // extracted cycle depend only on the list's order.
   struct Edge {
     VertexId to;
     ArcId arc;
@@ -80,10 +93,12 @@ std::optional<OrientedCycle> find_internal_cycle(const Digraph& g) {
 
   // Iterative DFS. For each visited vertex remember the (arc, forward) step
   // used to enter it and its DFS parent; the first non-parent edge to a
-  // visited *active* vertex closes a cycle.
+  // visited *active* vertex closes a cycle. Every vertex with an incident
+  // internal arc is internal, so the roots are exactly the internal
+  // vertices that have one.
   thread_local std::vector<std::uint8_t> state;
   thread_local std::vector<CycleStep> entry;
-  thread_local std::vector<VertexId> parent;
+  thread_local std::vector<VertexId> parent, stack;
   thread_local std::vector<std::uint32_t> edge_it;
   state.assign(n, 0);  // 0 unvisited, 1 active, 2 done
   entry.assign(n, CycleStep{});
@@ -91,11 +106,8 @@ std::optional<OrientedCycle> find_internal_cycle(const Digraph& g) {
   edge_it.assign(n, 0);
 
   for (VertexId root = 0; root < n; ++root) {
-    if (!mask[root] || state[root] != 0 ||
-        adj_off[root] == adj_off[root + 1]) {
-      continue;
-    }
-    std::vector<VertexId> stack = {root};
+    if (state[root] != 0 || adj_off[root] == adj_off[root + 1]) continue;
+    stack.assign(1, root);
     state[root] = 1;
     while (!stack.empty()) {
       const VertexId u = stack.back();
@@ -116,41 +128,34 @@ std::optional<OrientedCycle> find_internal_cycle(const Digraph& g) {
       } else if (state[e.to] == 1) {
         // Cycle: e.to is an ancestor of u on the DFS stack. Walk u's parent
         // chain back to e.to, then close with edge e.
-        OrientedCycle cyc;
-        std::vector<CycleStep> up;  // steps from e.to down to u
-        VertexId w = u;
-        while (w != e.to) {
-          up.push_back(entry[w]);
+        for (VertexId w = u; w != e.to;) {
+          out.steps.push_back(entry[w]);
           w = parent[w];
           WDAG_ASSERT(w != graph::kNoVertex,
                       "find_internal_cycle: broken parent chain");
         }
-        std::reverse(up.begin(), up.end());
-        cyc.steps = std::move(up);
-        cyc.steps.push_back(CycleStep{e.arc, e.forward});
+        std::reverse(out.steps.begin(), out.steps.end());
         // The closing step walks u -> e.to; orientation flag already
         // matches because Edge.forward describes the u -> e.to direction.
-        WDAG_ASSERT(is_valid_oriented_cycle(g, cyc),
+        out.steps.push_back(CycleStep{e.arc, e.forward});
+        WDAG_ASSERT(is_valid_oriented_cycle(g, out),
                     "find_internal_cycle: extracted cycle is invalid");
-        // Internality check against the mask already in hand (the public
-        // is_internal_cycle would recompute it).
-        for (const VertexId cv : cycle_vertices(g, cyc)) {
-          WDAG_ASSERT(mask[cv],
+        for (const CycleStep& step : out.steps) {
+          WDAG_ASSERT(is_internal(g, step_start(g, step)),
                       "find_internal_cycle: extracted cycle is not internal");
         }
-        return cyc;
+        return true;
       }
       // state[e.to] == 2: finished component part; no cycle through here.
     }
   }
-  return std::nullopt;
+  return false;
 }
 
 bool is_internal_cycle(const Digraph& g, const OrientedCycle& c) {
   if (!is_valid_oriented_cycle(g, c)) return false;
-  const auto mask = graph::internal_vertex_mask(g);
-  for (const VertexId v : cycle_vertices(g, c)) {
-    if (!mask[v]) return false;
+  for (const CycleStep& step : c.steps) {
+    if (!is_internal(g, step_start(g, step))) return false;
   }
   return true;
 }

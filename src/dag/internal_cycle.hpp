@@ -12,6 +12,8 @@
 // for explicit extraction.
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "dag/oriented_cycle.hpp"
 #include "graph/digraph.hpp"
@@ -31,6 +33,21 @@ std::size_t internal_cycle_count(const graph::Digraph& g);
 /// The returned cycle is a valid OrientedCycle of g visiting only internal
 /// vertices; the result is deterministic for a given graph.
 std::optional<OrientedCycle> find_internal_cycle(const graph::Digraph& g);
+
+/// The arcs of g whose endpoints are both internal, ascending, written
+/// into `out` (storage reused).
+void internal_arcs_into(const graph::Digraph& g,
+                        std::vector<graph::ArcId>& out);
+
+/// find_internal_cycle() over a caller-supplied list of g's internal arcs
+/// (as internal_arcs_into() computes them). Writes the cycle into `out`,
+/// reusing its storage, and returns false when there is none. Same DFS,
+/// so the same cycle, as the one-argument form. The split-merge recursion
+/// carries the list down its levels instead of recomputing it: splitting
+/// an internal arc leaves every other arc's internality unchanged.
+bool find_internal_cycle(const graph::Digraph& g,
+                         std::span<const graph::ArcId> internal_arcs,
+                         OrientedCycle& out);
 
 /// True when `c` is a valid oriented cycle of g whose vertices are all
 /// internal in g.

@@ -1,7 +1,6 @@
 #include "dag/oriented_cycle.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -22,16 +21,23 @@ VertexId step_end(const Digraph& g, const CycleStep& s) {
 
 bool is_valid_oriented_cycle(const Digraph& g, const OrientedCycle& c) {
   if (c.steps.size() < 2) return false;
-  std::set<ArcId> seen;
-  for (std::size_t i = 0; i < c.steps.size(); ++i) {
-    const CycleStep& cur = c.steps[i];
-    if (cur.arc >= g.num_arcs()) return false;
-    if (!seen.insert(cur.arc).second) return false;  // repeated arc
-    const CycleStep& nxt = c.steps[(i + 1) % c.steps.size()];
-    if (nxt.arc >= g.num_arcs()) return false;
-    if (step_end(g, cur) != step_start(g, nxt)) return false;
+  for (const CycleStep& s : c.steps) {
+    if (s.arc >= g.num_arcs()) return false;
   }
-  return true;
+  // Flat per-arc seen-mask, per thread. Every step's arc is cleared
+  // before returning, so the mask is all-zero between calls.
+  thread_local std::vector<std::uint8_t> seen;
+  if (seen.size() < g.num_arcs()) seen.resize(g.num_arcs(), 0);
+  bool valid = true;
+  for (std::size_t i = 0; i < c.steps.size() && valid; ++i) {
+    const CycleStep& cur = c.steps[i];
+    const CycleStep& nxt = c.steps[(i + 1) % c.steps.size()];
+    valid = !seen[cur.arc] &&  // repeated arc
+            step_end(g, cur) == step_start(g, nxt);
+    seen[cur.arc] = 1;
+  }
+  for (const CycleStep& s : c.steps) seen[s.arc] = 0;
+  return valid;
 }
 
 std::vector<VertexId> cycle_vertices(const Digraph& g, const OrientedCycle& c) {

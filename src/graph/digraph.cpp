@@ -58,8 +58,13 @@ ArcId DigraphBuilder::add_arc(const std::string& u, const std::string& v) {
 
 Digraph DigraphBuilder::build() const {
   Digraph g;
-  g.arcs_ = arcs_;
-  g.names_ = names_;
+  build_into(g);
+  return g;
+}
+
+void DigraphBuilder::build_into(Digraph& g) const {
+  g.arcs_.assign(arcs_.begin(), arcs_.end());
+  g.names_.assign(names_.begin(), names_.end());
   const std::size_t n = names_.size();
   g.out_begin_.assign(n + 1, 0);
   g.in_begin_.assign(n + 1, 0);
@@ -73,13 +78,18 @@ Digraph DigraphBuilder::build() const {
   }
   g.out_list_.resize(arcs_.size());
   g.in_list_.resize(arcs_.size());
-  std::vector<std::uint32_t> oc(g.out_begin_.begin(), g.out_begin_.end() - 1);
-  std::vector<std::uint32_t> ic(g.in_begin_.begin(), g.in_begin_.end() - 1);
+  // Fill with the begin tables as cursors: afterwards begin[v] holds the
+  // old begin[v + 1], so shift them back by one.
   for (ArcId id = 0; id < arcs_.size(); ++id) {
-    g.out_list_[oc[arcs_[id].tail]++] = id;
-    g.in_list_[ic[arcs_[id].head]++] = id;
+    g.out_list_[g.out_begin_[arcs_[id].tail]++] = id;
+    g.in_list_[g.in_begin_[arcs_[id].head]++] = id;
   }
-  return g;
+  for (std::size_t v = n; v-- > 1;) {
+    g.out_begin_[v] = g.out_begin_[v - 1];
+    g.in_begin_[v] = g.in_begin_[v - 1];
+  }
+  g.out_begin_[0] = 0;
+  g.in_begin_[0] = 0;
 }
 
 }  // namespace wdag::graph

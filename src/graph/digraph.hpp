@@ -142,8 +142,19 @@ class DigraphBuilder {
   /// Number of arcs added so far.
   [[nodiscard]] std::size_t num_arcs() const { return arcs_.size(); }
 
+  /// Empties the builder down to n unnamed vertices, keeping its storage
+  /// (the split-merge recursion rebuilds one graph per level).
+  void reset(std::size_t n) {
+    arcs_.clear();
+    names_.clear();
+    names_.resize(n);
+  }
+
   /// Freezes the builder into an immutable Digraph.
   [[nodiscard]] Digraph build() const;
+
+  /// build(), into `out`, reusing its storage.
+  void build_into(Digraph& out) const;
 
  private:
   void ensure_vertex(VertexId v) {

@@ -6,10 +6,14 @@
 
 namespace wdag::graph {
 
-std::optional<std::vector<VertexId>> topological_sort(const Digraph& g) {
+namespace {
+
+/// Kahn's algorithm into caller-owned buffers; false on a directed cycle.
+bool kahn_into(const Digraph& g, std::vector<VertexId>& order,
+               std::vector<std::uint32_t>& indeg) {
   const std::size_t n = g.num_vertices();
-  std::vector<std::uint32_t> indeg(n);
-  std::vector<VertexId> order;
+  indeg.resize(n);
+  order.clear();
   order.reserve(n);
   for (VertexId v = 0; v < n; ++v) {
     indeg[v] = static_cast<std::uint32_t>(g.in_degree(v));
@@ -24,7 +28,15 @@ std::optional<std::vector<VertexId>> topological_sort(const Digraph& g) {
       if (--indeg[w] == 0) order.push_back(w);
     }
   }
-  if (order.size() != n) return std::nullopt;  // directed cycle
+  return order.size() == n;  // short: directed cycle
+}
+
+}  // namespace
+
+std::optional<std::vector<VertexId>> topological_sort(const Digraph& g) {
+  std::vector<VertexId> order;
+  std::vector<std::uint32_t> indeg;
+  if (!kahn_into(g, order, indeg)) return std::nullopt;
   return order;
 }
 
@@ -51,11 +63,14 @@ std::vector<ArcId> arcs_in_tail_topo_order(const Digraph& g) {
 }
 
 void arcs_in_tail_topo_order_into(const Digraph& g, std::vector<ArcId>& out) {
-  const auto order = topological_sort(g);
-  WDAG_REQUIRE(order.has_value(), "arcs_in_tail_topo_order: input is not a DAG");
+  // Per-thread Kahn buffers: the Theorem-1 replay asks once per instance.
+  thread_local std::vector<VertexId> order;
+  thread_local std::vector<std::uint32_t> indeg;
+  WDAG_REQUIRE(kahn_into(g, order, indeg),
+               "arcs_in_tail_topo_order: input is not a DAG");
   out.clear();
   out.reserve(g.num_arcs());
-  for (VertexId v : *order) {
+  for (VertexId v : order) {
     // out_arcs() already lists arcs in ascending id order (ids are handed
     // out in insertion order and the CSR fill preserves it).
     for (ArcId a : g.out_arcs(v)) out.push_back(a);

@@ -1,0 +1,108 @@
+// Heap-allocation guard for the split-merge recursion.
+//
+// This binary replaces the global operator new/delete with counting
+// versions. After one warm-up solve per instance (which sizes the
+// per-thread arena to the largest instance), a steady-state
+// color_upp_split_merge must allocate no more than a small constant,
+// independent of the instance's size and its number of internal cycles.
+// The count is deterministic; no wall clock is involved.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "conflict/coloring.hpp"
+#include "core/split_merge.hpp"
+#include "gen/family_gen.hpp"
+#include "gen/upp_gen.hpp"
+#include "paths/family.hpp"
+#include "util/rng.hpp"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
+using wdag::gen::Instance;
+using wdag::gen::UppCycleParams;
+
+/// Heap allocations a steady-state split-merge solve may make: the
+/// returned coloring. (Before the per-depth arena this family took
+/// 599-8,964 allocations per solve.)
+constexpr std::size_t kMaxSteadyAllocations = 1;
+
+/// Multi-cycle UPP skeletons (2-4 internal cycles): the small gadget's
+/// all-to-all family, and random request families with repeated routes
+/// on the small and on a larger gadget.
+std::vector<Instance> skeleton_family() {
+  std::vector<Instance> out;
+  wdag::util::Xoshiro256 rng(11);
+  for (std::size_t cycles : {2u, 3u, 4u}) {
+    Instance all =
+        wdag::gen::upp_multi_cycle_skeleton(cycles, UppCycleParams{2, 1, 1, 1});
+    all.family = wdag::gen::all_to_all_family(*all.graph);
+    out.push_back(all);
+    for (const UppCycleParams p :
+         {UppCycleParams{2, 1, 1, 1}, UppCycleParams{3, 2, 1, 2}}) {
+      Instance random = wdag::gen::upp_multi_cycle_skeleton(cycles, p);
+      random.family =
+          wdag::gen::random_request_family(rng, *random.graph, 40);
+      out.push_back(random);
+    }
+  }
+  return out;
+}
+
+std::size_t allocations_of_solve(const Instance& inst,
+                                 wdag::core::SplitMergeResult& out) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  out = wdag::core::color_upp_split_merge(inst.family,
+                                          /*preverified=*/true);
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(SplitMergeAllocTest, CounterSeesAllocations) {
+  const std::size_t before = g_allocations.load();
+  auto* v = new std::vector<int>(100);
+  delete v;
+  EXPECT_GE(g_allocations.load() - before, 2u);
+}
+
+TEST(SplitMergeAllocTest, SteadyStateSolveAllocatesAConstant) {
+  const auto instances = skeleton_family();
+  wdag::core::SplitMergeResult res;
+  // Warm-up: the arena grows to the largest instance seen.
+  for (const Instance& inst : instances) allocations_of_solve(inst, res);
+
+  for (const Instance& inst : instances) {
+    const std::size_t n = allocations_of_solve(inst, res);
+    ASSERT_GE(res.levels, 2u);
+    EXPECT_TRUE(wdag::conflict::is_valid_assignment(inst.family,
+                                                    res.coloring));
+    EXPECT_LE(n, kMaxSteadyAllocations)
+        << "allocations=" << n << " paths=" << inst.family.size() << " levels=" << res.levels
+        << " wavelengths=" << res.wavelengths << " load=" << res.load;
+  }
+}
+
+}  // namespace
