@@ -19,7 +19,6 @@ int main() {
 
   BatchRequest request = BatchRequest::generated("random-upp", 400);
   request.options.seed = 42;
-  request.options.chunk = 16;
 
   // Sinks see rows in instance order at any thread count.
   AggregateSink aggregate;
@@ -41,7 +40,6 @@ int main() {
   CsvStreamSink again_sink(again);
   BatchRequest rerun = BatchRequest::generated("random-upp", 400);
   rerun.options.seed = 42;
-  rerun.options.chunk = 16;
   rerun.options.keep_entries = false;  // constant memory: sinks only
   rerun.sinks = {&again_sink};
   (void)engine.run_batch(rerun);

@@ -34,9 +34,8 @@
 //
 // Every generated workload is a deterministic function of --seed: the batch
 // engine seeds each instance from (seed, GLOBAL index), so identical seeds
-// give identical CSV output no matter how many threads run the batch, which
-// scheduler (--schedule fixed|stealing) distributes the work, or how many
-// shards the index range was split into.
+// give identical CSV output no matter how many threads run the batch, how
+// the range is chunked, or how many shards the index range was split into.
 
 #include <chrono>
 #include <csignal>
@@ -81,7 +80,8 @@ int usage(std::ostream& os) {
         "  wdag shard plan --gen NAME --count N --shards K --out PREFIX\n"
         "             [--layout L] [--seed S] [generator flags] [solver flags]\n"
         "  wdag shard run --manifest FILE.json --out PATH|- [--threads T]\n"
-        "             [--schedule S] [--json PATH] [--quiet]\n"
+        "             [--min-chunk A] [--max-chunk B] [--json PATH]\n"
+        "             [--quiet]\n"
         "  wdag shard merge --out PATH|- SHARD.csv [SHARD.csv ...]\n"
         "  wdag drive --gen NAME --count N --shards K --work-dir DIR\n"
         "             [--layout L] [--workers W|HOST:PORT,...]\n"
@@ -90,7 +90,7 @@ int usage(std::ostream& os) {
         "             [--events PATH] [--progress] [--out PATH|-]\n"
         "             [--connect-timeout-ms MS] [--probe-interval SEC]\n"
         "             [--probe-timeout-ms MS] [--probe-miss-budget N]\n"
-        "  wdag worker [--host H] [--port P] [--threads T] [--schedule S]\n"
+        "  wdag worker [--host H] [--port P] [--threads T]\n"
         "             [--idle-timeout-ms MS] [--port-file PATH]\n"
         "  wdag serve [--host H] [--port P] [--queue N] [--deadline-ms D]\n"
         "             [--threads T] [--port-file PATH]\n"
@@ -142,16 +142,14 @@ int usage(std::ostream& os) {
         "  --count N      instances in the batch (default 100)\n"
         "  --threads T    worker threads; 0 = hardware concurrency\n"
         "                 (default 0, negatives rejected)\n"
-        "  --schedule S   fixed | stealing (default fixed): fixed is the\n"
-        "                 static contiguous partition; stealing rebalances\n"
-        "                 skewed workloads over per-worker deques with\n"
-        "                 cost-aware chunk sizing. Output bytes are\n"
-        "                 identical either way for a fixed seed\n"
-        "  --chunk C      instances per chunk of the fixed schedule\n"
-        "                 (default 16; seeding is per instance, so this\n"
-        "                 never changes results)\n"
-        "  --min-chunk A  lower bound on the stealing chunk size (default 1)\n"
-        "  --max-chunk B  upper bound on the stealing chunk size (default 256)\n"
+        "  --min-chunk A  lower bound on the cost-sized chunk (default 1)\n"
+        "  --max-chunk B  upper bound on the cost-sized chunk (default 256);\n"
+        "                 seeding is per instance, so the chunk size never\n"
+        "                 changes results\n"
+        "  --schedule S   deprecated, ignored with a warning (one batch\n"
+        "                 scheduler); removed in 0.4.0\n"
+        "  --chunk C      deprecated: read as --min-chunk C --max-chunk C,\n"
+        "                 with a warning; removed in 0.4.0\n"
         "  --seed S       base seed (default 1)\n"
         "  --csv PATH     write per-instance rows as CSV ('-' = stdout);\n"
         "                 deterministic for a fixed seed\n"
@@ -178,7 +176,7 @@ int usage(std::ostream& os) {
         "                 run/merge/drive: output CSV path ('-' = stdout)\n"
         "  --manifest F   the shard manifest to execute (run); the workload,\n"
         "                 seed and index range come from the manifest —\n"
-        "                 only execution knobs (--threads, --schedule, ...)\n"
+        "                 only execution knobs (--threads, --min-chunk, ...)\n"
         "                 are read from the command line\n"
         "  --quiet        suppress the shard run summary line on stdout\n"
         "                 (the drive workers pass this)\n"
@@ -237,7 +235,7 @@ int usage(std::ostream& os) {
         "  --wdag-bin P   worker binary to execute (default: this binary)\n"
         "\n"
         "worker flags (a long-lived remote executor of drive attempts;\n"
-        "shares --host/--port/--port-file/--threads/--schedule semantics):\n"
+        "shares --host/--port/--port-file/--threads semantics):\n"
         "  --idle-timeout-ms MS   close a session after MS without a\n"
         "                 complete request line (worker and serve;\n"
         "                 default 0 = never)\n"
@@ -300,7 +298,7 @@ int usage(std::ostream& os) {
 struct CommonArgs {
   wdag::GeneratorSpec gen;                ///< --gen + knobs + --seed
   SolveOptions solve;                     ///< --exact-threshold/--exact-budget
-  BatchOptions batch;                     ///< --threads/--chunk/--seed/...
+  BatchOptions batch;                     ///< --threads/--min-chunk/--seed/...
   std::optional<std::string> force;       ///< --force strategy name
   std::size_t count = 0;                  ///< --count
   std::string stream_csv;                 ///< --stream-csv path; empty = off
@@ -315,6 +313,24 @@ std::size_t thread_count(const Cli& cli) {
                "--threads must be >= 0 (0 = hardware concurrency), got " +
                    std::to_string(threads));
   return static_cast<std::size_t>(threads);
+}
+
+/// The scheduling flags retired with the second batch scheduler (removed
+/// in 0.4.0). Each one given prints one deprecation line to stderr:
+/// --schedule is ignored, and --chunk C is returned to be read as
+/// --min-chunk C --max-chunk C.
+std::optional<std::size_t> retired_schedule_flags(const Cli& cli) {
+  if (cli.has("schedule")) {
+    std::cerr << "wdag: --schedule is deprecated and ignored (one batch "
+                 "scheduler); it is removed in 0.4.0\n";
+  }
+  if (!cli.has("chunk")) return std::nullopt;
+  const std::int64_t chunk = cli.get_int("chunk", 1);
+  WDAG_REQUIRE(chunk >= 1,
+               "--chunk must be >= 1, got " + std::to_string(chunk));
+  std::cerr << "wdag: --chunk is deprecated and read as --min-chunk " << chunk
+            << " --max-chunk " << chunk << "; it is removed in 0.4.0\n";
+  return static_cast<std::size_t>(chunk);
 }
 
 CommonArgs read_common_args(const Cli& cli, std::size_t default_count) {
@@ -344,24 +360,15 @@ CommonArgs read_common_args(const Cli& cli, std::size_t default_count) {
   if (cli.has("force")) a.force = cli.get("force", "");
 
   a.batch.threads = thread_count(cli);
-  const std::int64_t chunk = cli.get_int("chunk", 16);
-  WDAG_REQUIRE(chunk >= 1,
-               "--chunk must be >= 1, got " + std::to_string(chunk));
-  a.batch.chunk = static_cast<std::size_t>(chunk);
-  const std::string schedule = cli.get("schedule", "fixed");
-  if (schedule == "stealing") {
-    a.batch.schedule = wdag::core::Schedule::kStealing;
-  } else {
-    WDAG_REQUIRE(schedule == "fixed",
-                 "--schedule must be 'fixed' or 'stealing', got '" +
-                     schedule + "'");
-  }
   const std::int64_t min_chunk = cli.get_int("min-chunk", 1);
   const std::int64_t max_chunk = cli.get_int("max-chunk", 256);
   WDAG_REQUIRE(min_chunk >= 1 && max_chunk >= min_chunk,
                "--min-chunk/--max-chunk need 1 <= min <= max");
   a.batch.min_chunk = static_cast<std::size_t>(min_chunk);
   a.batch.max_chunk = static_cast<std::size_t>(max_chunk);
+  if (const auto chunk = retired_schedule_flags(cli)) {
+    a.batch.min_chunk = a.batch.max_chunk = *chunk;
+  }
   a.batch.seed = a.gen.seed;
   a.batch.keep_colorings = cli.has("keep-colorings");
   if (cli.has("stream-csv")) {
@@ -854,7 +861,6 @@ int cmd_drive(const Cli& cli) {
   options.fail_fast = static_cast<std::size_t>(fail_fast);
   options.resume = cli.has("resume");
   options.worker_threads = args.batch.threads;
-  options.worker_schedule = args.batch.schedule;
   options.keep_outputs = cli.has("keep-work");
 
   options.work_dir = cli.get("work-dir", "");
@@ -969,14 +975,7 @@ int cmd_worker(const Cli& cli) {
   options.host = cli.get("host", "127.0.0.1");
   options.port = listen_port(cli);
   options.engine_threads = thread_count(cli);
-  const std::string schedule = cli.get("schedule", "fixed");
-  if (schedule == "stealing") {
-    options.schedule = wdag::core::Schedule::kStealing;
-  } else {
-    WDAG_REQUIRE(schedule == "fixed",
-                 "--schedule must be 'fixed' or 'stealing', got '" +
-                     schedule + "'");
-  }
+  (void)retired_schedule_flags(cli);
   options.idle_timeout_ms = cli.get_double("idle-timeout-ms", 0.0);
   WDAG_REQUIRE(options.idle_timeout_ms >= 0.0,
                "--idle-timeout-ms must be >= 0 (0 = never)");

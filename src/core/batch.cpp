@@ -1,7 +1,6 @@
 #include "core/batch.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -17,7 +16,6 @@
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
-#include "util/work_stealing.hpp"
 
 namespace wdag::core {
 
@@ -26,7 +24,7 @@ namespace {
 /// Mixes the batch seed with an instance index into an independent RNG
 /// stream. Keyed by instance (not chunk, not worker), so the stream — and
 /// therefore every generated instance — is identical whatever the chunk
-/// geometry or scheduler.
+/// geometry or thread count.
 util::Xoshiro256 instance_rng(std::uint64_t seed, std::size_t index) {
   util::SplitMix64 mix(seed ^ (0x9E3779B97F4A7C15ULL * (index + 1)));
   return util::Xoshiro256(mix.next());
@@ -68,11 +66,12 @@ BatchEntry row_copy(const BatchEntry& e) {
 /// kMaxPendingChunks are already buffered blocks until the straggler
 /// drains, so a streaming (keep_entries = false) million-instance batch
 /// stays at bounded memory even when one early chunk is orders of
-/// magnitude slower than the rest (the skewed workloads the stealing
-/// scheduler targets). Deadlock-free: both schedulers execute chunks in
-/// ascending order per worker, so the next-undelivered chunk is always
-/// running (or about to run) on some worker that cannot itself be blocked
-/// here — its submit is in order and is never made to wait.
+/// magnitude slower than the rest. Deadlock-free: chunks are claimed in
+/// ascending order from one counter (util::parallel_fixed_chunks), so
+/// the next-undelivered chunk was claimed before every buffered one and
+/// is running (or about to run) on a worker that is not blocked here —
+/// a worker runs one chunk at a time, and its submit of that chunk is
+/// in order and is never made to wait.
 class InOrderDispatcher {
  public:
   /// Out-of-order chunks buffered before submitters are backpressured.
@@ -363,7 +362,6 @@ BatchReport run_batch_items(std::size_t count, const BatchItemSolver& item,
                             std::span<api::ResultSink* const> sinks,
                             util::ThreadPool* pool,
                             std::span<SolveScratch> arenas) {
-  WDAG_REQUIRE(options.chunk >= 1, "BatchOptions::chunk must be >= 1");
   WDAG_REQUIRE(options.min_chunk >= 1 &&
                    options.min_chunk <= options.max_chunk,
                "BatchOptions: need 1 <= min_chunk <= max_chunk");
@@ -398,22 +396,18 @@ BatchReport run_batch_items(std::size_t count, const BatchItemSolver& item,
                "run_batch_items: arenas must cover every pool worker");
   report.threads_used = pool->size();
   report.schedule = options.schedule;
-  const bool stealing = options.schedule == Schedule::kStealing;
   CostModel* const model = options.cost_model;
 
-  // The effective chunk size: the fixed schedule partitions exactly as
-  // asked; the stealing schedule sizes chunks from the cost model so a
-  // chunk holds ~constant expected work (a cold model falls back to the
-  // built-in priors). Either way the partition is contiguous and
+  // The chunk size: the cost model sizes chunks to about constant
+  // expected work (a cold model falls back to the built-in priors),
+  // clamped into [min_chunk, max_chunk]. The partition is contiguous and
   // ascending, so the reorder window below works unchanged — and since
   // seeding is per instance, the choice never alters output bytes.
-  std::size_t chunk = options.chunk;
-  if (stealing) {
-    const CostModel cold;
-    chunk = (model != nullptr ? *model : cold)
-                .suggest_chunk(count, pool->size(), options.min_chunk,
-                               options.max_chunk);
-  }
+  const CostModel cold;
+  const std::size_t chunk =
+      (model != nullptr ? *model : cold)
+          .suggest_chunk(count, pool->size(), options.min_chunk,
+                         options.max_chunk);
   report.chunk_size = count == 0 ? 0 : chunk;
 
   const auto chunk_body = [&](std::size_t chunk_index, std::size_t lo,
@@ -472,34 +466,7 @@ BatchReport run_batch_items(std::size_t count, const BatchItemSolver& item,
     }
   };
 
-  if (stealing) {
-    std::vector<util::ChunkRange> ranges;
-    ranges.reserve(count / chunk + 1);
-    for (std::size_t lo = 0; lo < count; lo += chunk) {
-      ranges.push_back({ranges.size(), lo, std::min(count, lo + chunk)});
-    }
-    util::parallel_stealing_chunks(*pool, ranges, chunk_body,
-                                   &report.worker_chunks);
-  } else {
-    // Per-pool-worker chunk counts, folded into the report for parity
-    // with the stealing scheduler's per-driver counts.
-    std::vector<std::atomic<std::size_t>> executed(pool->size());
-    util::parallel_fixed_chunks(
-        *pool, 0, count, chunk,
-        [&](std::size_t chunk_index, std::size_t lo, std::size_t hi) {
-          const int worker = util::ThreadPool::current_worker_index();
-          if (worker >= 0 &&
-              static_cast<std::size_t>(worker) < executed.size()) {
-            executed[static_cast<std::size_t>(worker)].fetch_add(
-                1, std::memory_order_relaxed);
-          }
-          chunk_body(chunk_index, lo, hi);
-        });
-    report.worker_chunks.reserve(executed.size());
-    for (const auto& c : executed) {
-      report.worker_chunks.push_back(c.load(std::memory_order_relaxed));
-    }
-  }
+  util::parallel_fixed_chunks(*pool, 0, count, chunk, chunk_body);
   dispatcher.finish();
 
   if (keep) {

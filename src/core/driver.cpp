@@ -15,6 +15,7 @@
 #include "core/json_min.hpp"
 #include "core/transport.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/subprocess.hpp"
 #include "util/timer.hpp"
 
@@ -27,29 +28,6 @@ std::string fmt_seconds(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// A fault-injection hook read from the DRIVER's environment
@@ -184,7 +162,8 @@ std::string journal_entry_json(std::size_t shard, std::size_t attempt,
   s += ",\"attempt\":" + std::to_string(attempt);
   s += ",\"rows\":" + std::to_string(rows);
   s += ",\"seconds\":" + fmt_seconds(seconds);
-  s += ",\"path\":\"" + json_escape(rel_path) + "\"";
+  s += ",\"path\":";
+  util::append_json_string(s, rel_path);
   s += ",\"request\":\"" + minjson::hex16(request_hash) + "\"";
   s += "}";
   return s;
@@ -193,14 +172,21 @@ std::string journal_entry_json(std::size_t shard, std::size_t attempt,
 }  // namespace
 
 std::string DriveEvent::to_json() const {
-  std::string s = "{\"ev\":\"" + json_escape(kind) + "\"";
+  std::string s = "{\"ev\":";
+  util::append_json_string(s, kind);
   s += ",\"shard\":" + std::to_string(shard);
   s += ",\"attempt\":" + std::to_string(attempt);
   s += ",\"t\":" + fmt_seconds(at_seconds);
   s += ",\"elapsed\":" + fmt_seconds(elapsed_seconds);
   s += ",\"exit\":" + std::to_string(exit_code);
-  if (!worker.empty()) s += ",\"worker\":\"" + json_escape(worker) + "\"";
-  if (!detail.empty()) s += ",\"detail\":\"" + json_escape(detail) + "\"";
+  if (!worker.empty()) {
+    s += ",\"worker\":";
+    util::append_json_string(s, worker);
+  }
+  if (!detail.empty()) {
+    s += ",\"detail\":";
+    util::append_json_string(s, detail);
+  }
   s += "}";
   return s;
 }
@@ -265,7 +251,6 @@ DriveReport drive(const ShardPlan& plan, const DriveOptions& options,
   local_config.wdag_binary = options.wdag_binary;
   local_config.slots = local_slots;
   local_config.worker_threads = options.worker_threads;
-  local_config.schedule = options.worker_schedule;
   auto local_owned = std::make_unique<LocalTransport>(local_config);
   LocalTransport* local = local_owned.get();
   transports.push_back(std::move(local_owned));

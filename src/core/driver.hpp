@@ -134,7 +134,8 @@ struct DriveOptions {
   std::string work_dir;
   /// --threads forwarded to every worker (0 = worker default).
   std::size_t worker_threads = 0;
-  /// --schedule forwarded to every worker.
+  /// Deprecated, removed in 0.4.0; ignored (every worker runs the one
+  /// batch scheduler).
   Schedule worker_schedule = Schedule::kFixed;
   /// Keep committed shard files and the journal after a successful drive
   /// (default: a SUCCESSFUL drive deletes everything it created; failed

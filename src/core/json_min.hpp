@@ -24,6 +24,7 @@
 #include <string_view>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace wdag::core::minjson {
 
@@ -258,26 +259,7 @@ class JsonWriter {
   }
 
   void append_string(std::string_view s) {
-    out_.push_back('"');
-    for (const char c : s) {
-      switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\r': out_ += "\\r"; break;
-        case '\t': out_ += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(c));
-            out_ += buf;
-          } else {
-            out_.push_back(c);
-          }
-      }
-    }
-    out_.push_back('"');
+    util::append_json_string(out_, s);
   }
 
   std::string out_;

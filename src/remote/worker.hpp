@@ -38,7 +38,6 @@
 #include <string>
 
 #include "api/engine.hpp"
-#include "core/batch.hpp"
 #include "util/line_server.hpp"
 
 namespace wdag::remote {
@@ -75,8 +74,6 @@ struct ShardWorkerOptions {
   std::uint16_t port = 0;
   /// Engine pool threads; 0 = hardware concurrency.
   std::size_t engine_threads = 0;
-  /// Scheduler of every shard run (execution knob; never changes bytes).
-  core::Schedule schedule = core::Schedule::kFixed;
   /// Close a session after this long without a complete request line;
   /// 0 disables.
   double idle_timeout_ms = 0.0;

@@ -1,6 +1,8 @@
 #pragma once
 // Minimal JSON string escaping shared by every emitter (api/sink.cpp,
-// core/shard.cpp): quotes, backslashes and control characters. One
+// core/shard.cpp, core/driver.cpp, core/json_min.hpp's JsonWriter,
+// util::Table::to_json_rows): quotes, backslashes and control
+// characters. One
 // implementation so an escaping fix can never silently diverge between
 // layers.
 

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace wdag::util {
 
@@ -117,53 +118,28 @@ std::string Table::to_markdown() const {
   return os.str();
 }
 
-namespace {
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-}  // namespace
-
 std::string Table::to_json_rows() const {
-  std::ostringstream os;
-  os << '[';
+  std::string out = "[";
   for (std::size_t r = 0; r < rows_.size(); ++r) {
-    if (r) os << ',';
-    os << '{';
+    if (r) out += ',';
+    out += '{';
     for (std::size_t c = 0; c < header_.size(); ++c) {
-      if (c) os << ',';
-      os << '"' << json_escape(header_[c]) << "\":";
+      if (c) out += ',';
+      append_json_string(out, header_[c]);
+      out += ':';
       const Cell& cell = rows_[r][c];
       if (const auto* s = std::get_if<std::string>(&cell)) {
-        os << '"' << json_escape(*s) << '"';
+        append_json_string(out, *s);
       } else {
         // Integers print exactly; doubles reuse the table formatting so
         // every rendering of a cell agrees.
-        os << cell_to_string(cell);
+        out += cell_to_string(cell);
       }
     }
-    os << '}';
+    out += '}';
   }
-  os << ']';
-  return os.str();
+  out += ']';
+  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, const Table& t) {

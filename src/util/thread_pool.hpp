@@ -4,9 +4,10 @@
 //
 // Design notes (per the HPC guides): parallelism is explicit and
 // deterministic — work is partitioned by index range and all randomness
-// is seeded by index, so results never depend on thread scheduling. The
-// dynamic counterpart (per-worker deques + stealing, same determinism
-// contract) lives in util/work_stealing.hpp.
+// is seeded by index, so results never depend on thread scheduling.
+// Chunks are handed out dynamically (parallel_fixed_chunks below: one
+// atomic counter, ascending claims), so which worker runs a chunk varies
+// while what a chunk covers never does.
 
 #include <condition_variable>
 #include <cstddef>
@@ -105,8 +106,14 @@ void parallel_for_chunks(std::size_t begin, std::size_t end,
 /// partition depends only on `chunk` — never on the pool size — a
 /// chunk_index always covers the same indices no matter how many workers
 /// execute it, so index-seeded RNG streams stay reproducible across
-/// machines (see core/batch.cpp). Blocks until every
-/// chunk finishes; the first exception thrown by any chunk is rethrown.
+/// machines (see core/batch.cpp).
+///
+/// Scheduling: min(pool.size(), chunks) looping tasks claim chunk
+/// ordinals in ascending order from one atomic counter, so a slow chunk
+/// delays only the worker running it and the pool queue stays O(workers).
+/// Every chunk runs exactly once, even after another chunk threw; the
+/// call blocks until all have finished and then rethrows the first
+/// exception.
 void parallel_fixed_chunks(
     ThreadPool& pool, std::size_t begin, std::size_t end, std::size_t chunk,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body);

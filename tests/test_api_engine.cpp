@@ -371,12 +371,12 @@ TEST(EngineBatchTest, GeneratedBatchMatchesTheLegacyEntryPoint) {
 
   BatchRequest request = BatchRequest::generated("random-upp", 80);
   request.options.seed = 4242;
-  request.options.chunk = 8;
+  request.options.min_chunk = request.options.max_chunk = 8;
   const core::BatchReport via_engine = engine.run_batch(request);
 
   core::BatchOptions legacy_options;
   legacy_options.seed = 4242;
-  legacy_options.chunk = 8;
+  legacy_options.min_chunk = legacy_options.max_chunk = 8;
   legacy_options.threads = 1;
   const core::BatchReport legacy = core::solve_generated_batch(
       80,

@@ -23,7 +23,7 @@ constexpr std::size_t kCount = 97;
 BatchRequest request_for(std::uint64_t seed) {
   BatchRequest request = BatchRequest::generated("random-upp", kCount);
   request.options.seed = seed;
-  request.options.chunk = 8;
+  request.options.min_chunk = request.options.max_chunk = 8;
   return request;
 }
 
@@ -32,7 +32,7 @@ BatchRequest request_for(std::uint64_t seed) {
 std::string legacy_csv(std::uint64_t seed) {
   core::BatchOptions options;
   options.seed = seed;
-  options.chunk = 8;
+  options.min_chunk = options.max_chunk = 8;
   options.threads = 1;
   const core::BatchReport report = core::solve_generated_batch(
       kCount,
@@ -137,7 +137,8 @@ TEST(ResultSinkTest, RowsArriveInInstanceOrderAtAnyThreadCount) {
     Engine engine(options);
     RecordingSink sink;
     BatchRequest request = request_for(123);
-    request.options.chunk = 4;  // many chunks to reorder
+    // Many chunks to reorder.
+    request.options.min_chunk = request.options.max_chunk = 4;
     request.sinks = {&sink};
     (void)engine.run_batch(request);
 

@@ -138,7 +138,7 @@ TEST(BatchDeterminismTest, IdenticalSeedsGiveIdenticalReportsAcrossThreads) {
   auto run = [](std::size_t threads) {
     BatchOptions opts;
     opts.threads = threads;
-    opts.chunk = 8;
+    opts.min_chunk = opts.max_chunk = 8;
     opts.seed = 4242;
     return core::solve_generated_batch(150, mixed_instance, SolveOptions{},
                                        opts);
@@ -157,7 +157,7 @@ TEST(BatchDeterminismTest, IdenticalSeedsGiveIdenticalReportsAcrossThreads) {
   // And a different seed produces a different stream (sanity: the seed is
   // actually plumbed through to the generators).
   BatchOptions other;
-  other.chunk = 8;
+  other.min_chunk = other.max_chunk = 8;
   other.seed = 4243;
   const BatchReport different = core::solve_generated_batch(
       150, mixed_instance, SolveOptions{}, other);
@@ -238,7 +238,7 @@ TEST(BatchEdgeCaseTest, EmptyBatchAndEmptyFamiliesAreFine) {
 
 TEST(BatchOptionsTest, RejectsZeroChunk) {
   BatchOptions opts;
-  opts.chunk = 0;
+  opts.min_chunk = 0;
   const auto g = test::chain(3);
   std::vector<paths::DipathFamily> families(1, paths::DipathFamily(g));
   EXPECT_THROW(core::solve_batch(families, SolveOptions{}, opts),

@@ -1,6 +1,14 @@
-// Unit tests for the CLI flag parser.
+// Unit tests for the CLI flag parser, plus the retired scheduling flags
+// through the wdag binary named by WDAG_CLI_BIN (the CTest registration
+// passes $<TARGET_FILE:wdag_cli>; the binary case skips without it).
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -111,6 +119,45 @@ TEST(CliTest, SpaceSyntaxDoesNotSwallowTheNextFlag) {
   EXPECT_TRUE(cli.has("out"));
   EXPECT_EQ(cli.get("out", "x"), "");  // boolean, not "--events"
   EXPECT_EQ(cli.get("events", ""), "log.jsonl");
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// --schedule and --chunk are retired (removed in 0.4.0): still accepted,
+// each with one deprecation line on stderr, and the CSV bytes unchanged.
+TEST(CliRetiredFlagsTest, ScheduleAndChunkWarnAndKeepTheCsvBytes) {
+  const char* bin = std::getenv("WDAG_CLI_BIN");
+  if (bin == nullptr) GTEST_SKIP() << "WDAG_CLI_BIN not set";
+  const std::string dir = testing::TempDir() + "/wdag_cli_retired";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string batch = std::string("'") + bin +
+                            "' batch --gen random-upp --count 200 "
+                            "--threads 4 --seed 7";
+  const auto run = [&](const std::string& extra, const std::string& tag) {
+    const std::string cmd = batch + " " + extra + " --csv '" + dir + "/" +
+                            tag + ".csv' > /dev/null 2> '" + dir + "/" +
+                            tag + ".err'";
+    return std::system(cmd.c_str());
+  };
+  ASSERT_EQ(run("", "plain"), 0);
+  ASSERT_EQ(run("--schedule fixed --chunk 4", "retired"), 0);
+  const std::string want = read_file(dir + "/plain.csv");
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(read_file(dir + "/retired.csv"), want);
+  EXPECT_EQ(read_file(dir + "/plain.err"), "");
+  const std::string err = read_file(dir + "/retired.err");
+  EXPECT_NE(err.find("--schedule is deprecated"), std::string::npos) << err;
+  EXPECT_NE(err.find("--chunk is deprecated and read as --min-chunk 4 "
+                     "--max-chunk 4"),
+            std::string::npos)
+      << err;
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

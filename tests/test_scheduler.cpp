@@ -1,20 +1,22 @@
 // Scheduler determinism and cost-model coverage for the batch engine
-// (core/batch.hpp + core/cost_model.hpp + util/work_stealing.hpp):
+// (core/batch.hpp + core/cost_model.hpp + util/thread_pool.hpp):
 //
-//   * stealing vs fixed produce byte-identical streamed CSV across seeds
-//     {42, 4242} x threads {1, 2, 8} — the scheduler moves where work
-//     runs, never what it computes;
-//   * on a skewed workload no logical worker starves (every worker
-//     records >= 1 chunk whenever chunks >= 2 x workers);
+//   * streamed CSV is byte-identical across threads {1, 2, 8} x chunk
+//     bounds {1, cost-sized, 256} x seeds {42, 4242} — the scheduler
+//     moves where work runs, never what it computes;
+//   * a straggler chunk that waits until every other chunk has run does
+//     not stall the batch (no wall clock: the wait is on a condition);
 //   * the cost model's chunk suggestions respect their bounds and move
 //     the right way (cheap observations -> coarser chunks, exact-solver
 //     observations -> finer).
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <chrono>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,7 +28,6 @@
 #include "core/batch.hpp"
 #include "core/cost_model.hpp"
 #include "gen/instance.hpp"
-#include "gen/workloads.hpp"
 #include "helpers.hpp"
 #include "util/rng.hpp"
 
@@ -37,7 +38,6 @@ using core::BatchOptions;
 using core::BatchReport;
 using core::CostModel;
 using core::CostSample;
-using core::Schedule;
 using gen::Instance;
 using util::Xoshiro256;
 
@@ -46,34 +46,44 @@ Instance mixed_instance(Xoshiro256& rng, std::size_t index) {
   return test::mixed_regime_instance(rng, index);
 }
 
+/// Chunk bounds of one byte-identity cell.
+struct ChunkBounds {
+  std::size_t min_chunk;
+  std::size_t max_chunk;
+};
+
 /// Streams a generated batch through a CsvStreamSink and returns the bytes.
 std::string batch_csv(api::Engine& engine, std::uint64_t seed,
-                      Schedule schedule, std::size_t count) {
+                      ChunkBounds bounds, std::size_t count) {
   std::ostringstream out;
   api::CsvStreamSink sink(out);
   api::BatchRequest request;
   request.generate = mixed_instance;
   request.count = count;
   request.options.seed = seed;
-  request.options.chunk = 8;
-  request.options.schedule = schedule;
+  request.options.min_chunk = bounds.min_chunk;
+  request.options.max_chunk = bounds.max_chunk;
   request.options.keep_entries = false;
   request.sinks = {&sink};
   const BatchReport report = engine.run_batch(request);
   EXPECT_EQ(report.instance_count, count);
-  EXPECT_EQ(report.schedule, schedule);
+  EXPECT_GE(report.chunk_size, bounds.min_chunk);
+  EXPECT_LE(report.chunk_size, bounds.max_chunk);
   return out.str();
 }
 
-TEST(SchedulerDeterminismTest, StealingMatchesFixedByteForByte) {
+TEST(SchedulerDeterminismTest, CsvBytesIgnoreThreadsAndChunkBounds) {
   constexpr std::size_t kCount = 120;
+  const BatchOptions defaults;
+  const ChunkBounds cells[] = {
+      {1, 1}, {defaults.min_chunk, defaults.max_chunk}, {256, 256}};
   for (const std::uint64_t seed : {std::uint64_t{42}, std::uint64_t{4242}}) {
-    // Reference: the fixed schedule on one thread.
+    // Reference: one thread, one instance per chunk.
     api::EngineOptions ref_options;
     ref_options.threads = 1;
     api::Engine reference_engine(ref_options);
     const std::string want =
-        batch_csv(reference_engine, seed, Schedule::kFixed, kCount);
+        batch_csv(reference_engine, seed, {1, 1}, kCount);
     ASSERT_FALSE(want.empty());
 
     for (const std::size_t threads :
@@ -81,99 +91,76 @@ TEST(SchedulerDeterminismTest, StealingMatchesFixedByteForByte) {
       api::EngineOptions options;
       options.threads = threads;
       api::Engine engine(options);
-      EXPECT_EQ(batch_csv(engine, seed, Schedule::kFixed, kCount), want)
-          << "fixed seed=" << seed << " threads=" << threads;
-      EXPECT_EQ(batch_csv(engine, seed, Schedule::kStealing, kCount), want)
-          << "stealing seed=" << seed << " threads=" << threads;
-      // A second stealing run reuses the now-trained cost model (likely a
-      // different chunk size) — the bytes still cannot move.
-      EXPECT_EQ(batch_csv(engine, seed, Schedule::kStealing, kCount), want)
-          << "stealing(rerun) seed=" << seed << " threads=" << threads;
+      for (const ChunkBounds& bounds : cells) {
+        // Run each cell twice: the second run sizes its chunks from the
+        // now-trained cost model (likely another chunk size) — the bytes
+        // still cannot move.
+        for (int run = 0; run < 2; ++run) {
+          EXPECT_EQ(batch_csv(engine, seed, bounds, kCount), want)
+              << "seed=" << seed << " threads=" << threads
+              << " chunk=[" << bounds.min_chunk << ", " << bounds.max_chunk
+              << "] run=" << run;
+        }
+      }
     }
   }
 }
 
-TEST(SchedulerDeterminismTest, ChunkGeometryNeverChangesOutput) {
-  api::EngineOptions options;
-  options.threads = 2;
-  api::Engine engine(options);
-  std::string reference;
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{64}}) {
-    std::ostringstream out;
-    api::CsvStreamSink sink(out);
-    api::BatchRequest request;
-    request.generate = mixed_instance;
-    request.count = 90;
-    request.options.seed = 777;
-    request.options.chunk = chunk;
-    request.sinks = {&sink};
-    (void)engine.run_batch(request);
-    if (reference.empty()) {
-      reference = out.str();
-    } else {
-      EXPECT_EQ(out.str(), reference) << "chunk=" << chunk;
-    }
-  }
-}
-
-TEST(SchedulerStarvationTest, AllWorkersRecordChunksOnSkewedWorkload) {
-  // A deliberately skewed mix: every 8th instance is a dense random DAG
-  // (DSATUR + exact certification territory), the rest are tiny trees.
-  const auto skewed = [](Xoshiro256& rng, std::size_t index) {
-    gen::WorkloadParams params;
-    if (index % 8 == 0) {
-      params.size = 28;
-      params.density = 0.3;
-      params.paths = 28;
-      return gen::workload_instance("random-dag", params, rng);
-    }
-    params.size = 12;
-    params.paths = 8;
-    return gen::workload_instance("tree", params, rng);
-  };
-
-  api::EngineOptions options;
-  options.threads = 4;
-  api::Engine engine(options);
-
-  api::BatchRequest request;
-  request.generate = skewed;
-  request.count = 96;
-  request.options.seed = 4242;
-  request.options.schedule = Schedule::kStealing;
-  // Pin the cost-aware size so the chunk count (96 / 4 = 24 >= 2 x 4
-  // workers) is known to the assertion below.
-  request.options.min_chunk = 4;
-  request.options.max_chunk = 4;
-  const BatchReport report = engine.run_batch(request);
-
-  EXPECT_EQ(report.failure_count, 0u);
-  EXPECT_EQ(report.chunk_size, 4u);
-  ASSERT_EQ(report.worker_chunks.size(), 4u);
-  std::size_t total_chunks = 0;
-  for (std::size_t w = 0; w < report.worker_chunks.size(); ++w) {
-    EXPECT_GE(report.worker_chunks[w], 1u) << "worker " << w << " starved";
-    total_chunks += report.worker_chunks[w];
-  }
-  EXPECT_EQ(total_chunks, 24u);
-}
-
-TEST(SchedulerReportTest, FixedScheduleReportsItsGeometry) {
+TEST(SchedulerStragglerTest, ChunkZeroWaitingOnAllOthersFinishes) {
+  // Chunk 0 (instance 0) blocks until every other instance has been
+  // solved. With 2+ workers claiming chunks in ascending order the rest
+  // of the range runs past it, and the 63 buffered chunks stay under the
+  // reorder window's 256-chunk bound, so nothing waits on chunk 0 but
+  // chunk 0's own rows. A scheduler that tied chunk 0 to the range
+  // behind it would hang here; no assertion reads a clock.
+  constexpr std::size_t kCount = 64;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t others_done = 0;
+  const core::BatchItemSolver item =
+      [&](util::Xoshiro256&, std::size_t i, core::BatchEntry& entry,
+          core::SolveScratch&) {
+        entry.strategy = core::kStrategyTheorem1;
+        entry.paths = i;
+        std::unique_lock<std::mutex> lock(mu);
+        if (i == 0) {
+          cv.wait(lock, [&] { return others_done == kCount - 1; });
+        } else if (++others_done == kCount - 1) {
+          cv.notify_all();
+        }
+      };
+  std::ostringstream out;
+  api::CsvStreamSink sink(out);
+  api::ResultSink* sinks[] = {&sink};
   BatchOptions options;
   options.threads = 2;
-  options.chunk = 16;
+  options.min_chunk = 1;
+  options.max_chunk = 1;
+  options.keep_entries = false;
+  const BatchReport report = core::run_batch_items(
+      kCount, item, options, core::builtin_strategy_names(), sinks);
+  EXPECT_EQ(report.instance_count, kCount);
+  EXPECT_EQ(report.chunk_size, 1u);
+  // Rows still arrive in instance order.
+  std::istringstream lines(out.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));  // header
+  for (std::size_t i = 0; i < kCount; ++i) {
+    ASSERT_TRUE(std::getline(lines, line)) << i;
+    EXPECT_EQ(line.substr(0, line.find(',')), std::to_string(i));
+  }
+}
+
+TEST(SchedulerReportTest, ReportsTheCostSizedChunk) {
+  BatchOptions options;
+  options.threads = 2;
+  options.min_chunk = 16;
+  options.max_chunk = 16;
   const BatchReport report =
       core::solve_generated_batch(64, mixed_instance, {}, options);
-  EXPECT_EQ(report.schedule, Schedule::kFixed);
   EXPECT_EQ(report.chunk_size, 16u);
-  EXPECT_EQ(report.worker_chunks.size(), report.threads_used);
-  std::size_t total = 0;
-  for (const std::size_t w : report.worker_chunks) total += w;
-  EXPECT_EQ(total, 4u);  // 64 instances / chunk 16
-  // The report JSON carries the scheduler provenance.
-  EXPECT_NE(report.to_json().find("\"schedule\":\"fixed\""),
-            std::string::npos);
+  EXPECT_EQ(report.failure_count, 0u);
+  EXPECT_NE(report.to_json().find("\"chunk\":16"), std::string::npos);
 }
 
 TEST(SchedulerOptionsTest, RejectsInvertedChunkBounds) {
@@ -201,7 +188,6 @@ TEST(SchedulerBackpressureTest, BoundedReorderWindowStaysCorrectBehindAStraggler
   api::ResultSink* sinks[] = {&sink};
   BatchOptions options;
   options.threads = 4;
-  options.schedule = Schedule::kStealing;
   options.min_chunk = 1;
   options.max_chunk = 1;
   options.keep_entries = false;
@@ -236,7 +222,6 @@ TEST(SchedulerBackpressureTest, ThrowingSinkFailsTheBatchInsteadOfDeadlocking) {
          core::SolveScratch&) { entry.strategy = core::kStrategyTheorem1; };
   BatchOptions options;
   options.threads = 4;
-  options.schedule = Schedule::kStealing;
   options.min_chunk = 1;
   options.max_chunk = 1;
   options.keep_entries = false;

@@ -1,9 +1,13 @@
-// Unit tests for the results-table renderer.
+// Unit tests for the results-table renderer, and for the one JSON string
+// escaper (util/json.hpp) that every emitter shares.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
+#include "core/driver.hpp"
+#include "core/json_min.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
 
@@ -83,6 +87,31 @@ TEST(CellToStringTest, TrimsTrailingZeros) {
   EXPECT_EQ(wdag::util::cell_to_string(Cell{0.3333333}), "0.3333");
   EXPECT_EQ(wdag::util::cell_to_string(Cell{7LL}), "7");
   EXPECT_EQ(wdag::util::cell_to_string(Cell{std::string("s")}), "s");
+}
+
+// Quote, backslash, newline and two control bytes, escaped the same way
+// by every JSON emitter: the table rows, JsonWriter (serve and wire
+// protocol lines) and the drive event log.
+TEST(JsonEscapeTest, EveryEmitterEscapesTheSameBytes) {
+  const std::string raw = "a\"b\\c\nd\x01" "e\x1f";
+  const std::string escaped = R"("a\"b\\c\nd\u0001e\u001f")";
+
+  Table t("t", {raw});
+  t.add_row({Cell{raw}});
+  EXPECT_EQ(t.to_json_rows(), "[{" + escaped + ":" + escaped + "}]");
+
+  EXPECT_EQ(std::move(wdag::core::minjson::JsonWriter().field(raw, raw)).str(),
+            "{" + escaped + ":" + escaped + "}");
+
+  wdag::core::DriveEvent event;
+  event.kind = raw;
+  event.worker = raw;
+  event.detail = raw;
+  EXPECT_EQ(event.to_json(),
+            "{\"ev\":" + escaped +
+                ",\"shard\":0,\"attempt\":0,\"t\":0.000,\"elapsed\":0.000,"
+                "\"exit\":0,\"worker\":" +
+                escaped + ",\"detail\":" + escaped + "}");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -139,6 +140,50 @@ TEST(ParallelFixedChunksTest, RethrowsFirstChunkError) {
       pool, 0, 4, 1,
       [&](std::size_t, std::size_t, std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 4);
+}
+
+TEST(ParallelFixedChunksTest, EveryChunkRunsOnceEvenAfterAnError) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> runs(12);
+  EXPECT_THROW(wdag::util::parallel_fixed_chunks(
+                   pool, 0, 12, 1,
+                   [&](std::size_t chunk, std::size_t, std::size_t) {
+                     runs[chunk].fetch_add(1);
+                     if (chunk == 5) throw std::runtime_error("boom");
+                   }),
+               std::runtime_error);
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+}
+
+TEST(ParallelFixedChunksTest, SingleWorkerClaimsChunksInAscendingOrder) {
+  ThreadPool pool(1);
+  std::vector<std::size_t> order;
+  wdag::util::parallel_fixed_chunks(
+      pool, 0, 12, 2, [&](std::size_t chunk, std::size_t, std::size_t) {
+        order.push_back(chunk);
+      });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(ParallelFixedChunksTest, StragglerChunkDoesNotHoldUpTheRest) {
+  // Chunk 0 waits until every other chunk has run. The other worker must
+  // claim and finish all of them meanwhile; a deadlock here shows up as
+  // a test timeout, and no assertion reads a clock.
+  constexpr std::size_t kChunks = 100;
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t others_done = 0;
+  wdag::util::parallel_fixed_chunks(
+      pool, 0, kChunks, 1, [&](std::size_t chunk, std::size_t, std::size_t) {
+        std::unique_lock<std::mutex> lock(mu);
+        if (chunk == 0) {
+          cv.wait(lock, [&] { return others_done == kChunks - 1; });
+        } else if (++others_done == kChunks - 1) {
+          cv.notify_all();
+        }
+      });
+  EXPECT_EQ(others_done, kChunks - 1);
 }
 
 TEST(ParallelFixedChunksTest, EmptyRangeAndBadChunkSize) {
