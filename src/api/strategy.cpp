@@ -79,6 +79,23 @@ class DsaturStrategy final : public SolverStrategy {
   }
 };
 
+/// The exact strategy's body for a family whose load pi is known: pi
+/// bounds chi from below, and on UPP hosts it is the clique number
+/// (Property 3), which spares the certifier its max-clique search.
+StrategyResult solve_exact(const paths::DipathFamily& family,
+                           const StrategyContext& ctx, std::size_t pi) {
+  const conflict::ConflictGraph& cg = conflict_graph_for(family, ctx.scratch);
+  auto r = conflict::chromatic_number(
+      cg, ctx.options.exact_node_budget,
+      conflict::ExactBounds{pi, ctx.report.is_upp});
+  StrategyResult out;
+  out.coloring = std::move(r.coloring);
+  out.wavelengths = r.chromatic_number;
+  out.load = pi;
+  out.optimal = r.proven;
+  return out;
+}
+
 /// Exact branch-and-bound chromatic number; never dispatched (force /
 /// certification only).
 class ExactStrategy final : public SolverStrategy {
@@ -90,13 +107,7 @@ class ExactStrategy final : public SolverStrategy {
   [[nodiscard]] bool self_validating() const override { return true; }
   [[nodiscard]] StrategyResult solve(const paths::DipathFamily& family,
                                      const StrategyContext& ctx) const override {
-    const conflict::ConflictGraph& cg = conflict_graph_for(family, ctx.scratch);
-    auto r = conflict::chromatic_number(cg, ctx.options.exact_node_budget);
-    StrategyResult out;
-    out.coloring = std::move(r.coloring);
-    out.wavelengths = r.chromatic_number;
-    out.optimal = r.proven;
-    return out;
+    return solve_exact(family, ctx, paths::max_load(family));
   }
 };
 
@@ -206,7 +217,7 @@ SolveResponse solve_with(const StrategyRegistry& registry,
       family.size() <= options.exact_threshold &&
       chosen != core::kStrategyExact) {
     const SolverStrategy& exact = registry.at(core::kStrategyExact);
-    StrategyResult e = exact.solve(family, ctx);
+    StrategyResult e = solve_exact(family, ctx, resp.load);
     if (e.optimal && e.wavelengths <= resp.wavelengths) {
       resp.coloring = std::move(e.coloring);
       resp.wavelengths = e.wavelengths;

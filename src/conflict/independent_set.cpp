@@ -17,7 +17,10 @@ ConflictGraph complement(const ConflictGraph& cg) {
 }
 
 std::vector<std::size_t> max_independent_set(const ConflictGraph& cg) {
-  const auto set = max_clique(complement(cg));
+  CliqueSearcher search;
+  search.run(cg, /*complemented=*/true);
+  const std::vector<std::size_t> set(search.best().begin(),
+                                     search.best().end());
   WDAG_ASSERT(is_independent_set(cg, set),
               "max_independent_set: complement clique is not independent");
   return set;

@@ -13,9 +13,9 @@
 
 namespace wdag::conflict {
 
-/// Exact maximum independent set, computed as a maximum clique of the
-/// complement graph (Tomita-style branch and bound). Intended for the
-/// gadget-sized graphs in tests and benches.
+/// Exact maximum independent set, computed as a maximum clique over the
+/// complemented adjacency rows (conflict::CliqueSearcher). Intended for
+/// the gadget-sized graphs the exact certifier and the tests use.
 std::vector<std::size_t> max_independent_set(const ConflictGraph& cg);
 
 /// Size of a maximum independent set.

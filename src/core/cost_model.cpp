@@ -43,13 +43,18 @@ std::size_t CostModel::bucket_of(std::size_t paths) {
 
 CostModel::CostModel() : cells_(kBuiltinStrategyCount * kBuckets) {
   // Priors at the bucket of a typical workload family (~32 paths), one
-  // observation of weight each: rough dispatch-tier magnitudes, washed
-  // out by the first real chunk of samples.
+  // observation of weight each, washed out by the first real chunk of
+  // samples. They are the mean solve_with micros per winning strategy
+  // (what observe() is fed), measured single-threaded on a 4-vCPU x86-64
+  // box, Release build: random-upp draws gave theorem1 5.5, split-merge
+  // 13-14 and exact 7.5; fat-chain gave dsatur 20; the exact-certified
+  // gadgets gave 8.6 (havet h=2) and 15.6 (odd-cycle k=20). A cold model
+  // thus expects ~14 us per instance, close to what random-upp costs.
   const std::size_t b = bucket_of(32);
-  cells_[kStrategyTheorem1 * kBuckets + b] = {25.0, 1.0};
-  cells_[kStrategySplitMerge * kBuckets + b] = {60.0, 1.0};
-  cells_[kStrategyDsatur * kBuckets + b] = {80.0, 1.0};
-  cells_[kStrategyExact * kBuckets + b] = {1500.0, 1.0};
+  cells_[kStrategyTheorem1 * kBuckets + b] = {6.0, 1.0};
+  cells_[kStrategySplitMerge * kBuckets + b] = {14.0, 1.0};
+  cells_[kStrategyDsatur * kBuckets + b] = {20.0, 1.0};
+  cells_[kStrategyExact * kBuckets + b] = {16.0, 1.0};
 }
 
 void CostModel::observe(std::span<const CostSample> samples) {

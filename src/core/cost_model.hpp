@@ -7,10 +7,11 @@
 // keyed by StrategyId and a log2 size bucket — the same keying the
 // classify-driven dispatch uses to pick the strategy, so the model learns
 // exactly the cost structure dispatch induces. Before any observation the
-// built-in strategies carry priors reflecting their dispatch tiers
-// (Theorem 1 replay is cheap, DSATUR mid, exact branch-and-bound orders
-// of magnitude heavier), so even a cold model splits exact-heavy
-// workloads fine and batches cheap structural ones coarse.
+// built-in strategies carry priors measured on the workload families
+// (Theorem 1 replay cheapest, split-merge and exact certification in the
+// tens of micros, DSATUR on dense hosts above them), so a cold model
+// already batches the common cheap instances coarse; stragglers are
+// split fine once observed.
 //
 // An api::Engine owns one CostModel for its lifetime: sweeps and repeated
 // batches keep refining the same estimates.

@@ -1,10 +1,13 @@
-// Heap-allocation guard for the split-merge recursion.
+// Heap-allocation guard for the split-merge recursion and the exact
+// certifier.
 //
 // This binary replaces the global operator new/delete with counting
 // versions. After one warm-up solve per instance (which sizes the
 // per-thread arena to the largest instance), a steady-state
 // color_upp_split_merge must allocate no more than a small constant,
 // independent of the instance's size and its number of internal cycles.
+// Likewise a warm exact certification allocates only the coloring it
+// returns: its bound searches and k-search run in per-thread buffers.
 // The count is deterministic; no wall clock is involved.
 
 #include <gtest/gtest.h>
@@ -16,10 +19,13 @@
 #include <vector>
 
 #include "conflict/coloring.hpp"
+#include "conflict/exact_color.hpp"
 #include "core/split_merge.hpp"
 #include "gen/family_gen.hpp"
+#include "gen/paper_instances.hpp"
 #include "gen/upp_gen.hpp"
 #include "paths/family.hpp"
+#include "paths/load.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -103,6 +109,47 @@ TEST(SplitMergeAllocTest, SteadyStateSolveAllocatesAConstant) {
         << "allocations=" << n << " paths=" << inst.family.size() << " levels=" << res.levels
         << " wavelengths=" << res.wavelengths << " load=" << res.load;
   }
+}
+
+/// Allocations of one chromatic_number call on cg.
+std::size_t allocations_of_certify(const wdag::conflict::ConflictGraph& cg,
+                                   const wdag::conflict::ExactBounds& bounds,
+                                   wdag::conflict::ChromaticResult& out) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  out = wdag::conflict::chromatic_number(cg, 1'000'000, bounds);
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(ExactCertifyAllocTest, WarmCertificationAllocatesOnlyItsColoring) {
+  // havet h=2: pi = omega = 4 on this UPP host, DSATUR uses 6, and the
+  // counting bound ceil(16 / alpha) = ceil(16/3) = 6 closes the gap.
+  const auto havet = wdag::gen::havet_instance().replicate(2);
+  const wdag::conflict::ConflictGraph cg(havet.family);
+  const wdag::conflict::ExactBounds bounds{
+      wdag::paths::max_load(havet.family), /*load_is_clique_number=*/true};
+  // The Groetzsch graph (chi 4, omega 2, alpha 5 on 11 vertices) leaves a
+  // gap after every bound, so the k-search runs too.
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  for (std::size_t i = 0; i < 5; ++i) {
+    edges.emplace_back(i, (i + 1) % 5);
+    edges.emplace_back(5 + i, (i + 1) % 5);
+    edges.emplace_back(5 + i, (i + 4) % 5);
+    edges.emplace_back(10, 5 + i);
+  }
+  const wdag::conflict::ConflictGraph grotzsch(11, edges);
+
+  wdag::conflict::ChromaticResult res;
+  allocations_of_certify(cg, bounds, res);  // warm-up
+  allocations_of_certify(grotzsch, {}, res);
+  EXPECT_EQ(allocations_of_certify(cg, bounds, res), 1u);
+  EXPECT_TRUE(res.proven);
+  EXPECT_EQ(res.chromatic_number, 6u);
+  EXPECT_EQ(res.nodes, 0u);  // the bounds met DSATUR: no search
+
+  EXPECT_EQ(allocations_of_certify(grotzsch, {}, res), 1u);
+  EXPECT_TRUE(res.proven);
+  EXPECT_EQ(res.chromatic_number, 4u);
+  EXPECT_GT(res.nodes, 0u);
 }
 
 }  // namespace
