@@ -1,9 +1,9 @@
 // Per-kernel microbenches for the runtime-dispatched SIMD tiers: every
 // (kernel, bits, tier) cell is timed on its own, so a kernel-level
-// regression fails the perf gate even when end-to-end batch numbers hide
-// it behind other costs. Plain executable (no google-benchmark) so the
-// gate runs everywhere; emits the same one-line BENCH record shape as the
-// batch matrix, gated by scripts/compare_bench.py --bench kernels.
+// regression shows even when end-to-end batch numbers hide it behind
+// other costs. Plain executable (no google-benchmark) so it builds
+// everywhere; emits one `{"bench":"kernels",...}` JSON line. Ungated: the
+// one perf gate is the wdagbench A/B (scripts/perf_ab.sh).
 
 #include <chrono>
 #include <cstdint>

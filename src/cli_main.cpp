@@ -37,6 +37,7 @@
 // give identical CSV output no matter how many threads run the batch, how
 // the range is chunked, or how many shards the index range was split into.
 
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -47,6 +48,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -67,230 +69,347 @@ using wdag::core::BatchReport;
 using wdag::core::SolveOptions;
 using wdag::util::Cli;
 
+// The verbs, as bits: one help entry can serve several of them.
+enum Verb : unsigned {
+  kSolve = 1u << 0,
+  kBatch = 1u << 1,
+  kSweep = 1u << 2,
+  kPlan = 1u << 3,
+  kRun = 1u << 4,
+  kMerge = 1u << 5,
+  kDrive = 1u << 6,
+  kWorker = 1u << 7,
+  kServe = 1u << 8,
+  kRequest = 1u << 9,
+  kShard = kPlan | kRun | kMerge,
+  kGenerated = kSolve | kBatch | kSweep | kPlan | kDrive | kRequest,
+  kAll = (1u << 10) - 1,
+};
+
+/// One piece of the help text and the verbs it documents. `wdag --help`
+/// prints every entry; `wdag VERB --help` prints the entries of that
+/// verb, and the flags those name are exactly the flags the verb takes.
+struct HelpEntry {
+  unsigned verbs;
+  const char* text;
+};
+
+constexpr HelpEntry kHelp[] = {
+    {kAll,
+     "wdag — wavelength assignment on DAGs (Bermond & Coudert)\n"
+     "\n"
+     "usage:\n"},
+    {kSolve,
+     "  wdag solve --gen NAME [generator flags] [solver flags]\n"
+     "  wdag solve --file INSTANCE.txt [solver flags]\n"},
+    {kBatch,
+     "  wdag batch --gen NAME --count N [--threads T] [--seed S]\n"
+     "             [--csv PATH|-] [--json PATH|-] [--rows]\n"},
+    {kSweep,
+     "  wdag sweep --gen NAME --count N --param NAME --from A --to B\n"
+     "             [--step S] [--threads T] [--seed S]\n"},
+    {kPlan,
+     "  wdag shard plan --gen NAME --count N --shards K --out PREFIX\n"
+     "             [--layout L] [--seed S] [generator flags] [solver flags]\n"},
+    {kRun,
+     "  wdag shard run --manifest FILE.json --out PATH|- [--threads T]\n"
+     "             [--min-chunk A] [--max-chunk B] [--json PATH]\n"
+     "             [--quiet]\n"},
+    {kMerge, "  wdag shard merge --out PATH|- SHARD.csv [SHARD.csv ...]\n"},
+    {kDrive,
+     "  wdag drive --gen NAME --count N --shards K --work-dir DIR\n"
+     "             [--layout L] [--workers W|HOST:PORT,...]\n"
+     "             [--max-retries R] [--timeout SEC] [--backoff SEC]\n"
+     "             [--speculate F] [--fail-fast N] [--resume]\n"
+     "             [--events PATH] [--progress] [--out PATH|-]\n"
+     "             [--connect-timeout-ms MS] [--probe-interval SEC]\n"
+     "             [--probe-timeout-ms MS] [--probe-miss-budget N]\n"},
+    {kWorker,
+     "  wdag worker [--host H] [--port P] [--threads T]\n"
+     "             [--idle-timeout-ms MS] [--port-file PATH]\n"},
+    {kServe,
+     "  wdag serve [--host H] [--port P] [--queue N] [--deadline-ms D]\n"
+     "             [--threads T] [--port-file PATH]\n"
+     "             [--max-connections N] [--idle-timeout-ms MS]\n"
+     "             [--exact-threshold N] [--exact-budget N]\n"},
+    {kRequest,
+     "  wdag request --port P [--host H] [--type T] [--id ID]\n"
+     "             [--gen NAME ...] [--count N] [--deadline-ms D]\n"
+     "             [--req-file FILE] [--timeout-ms MS] [solver flags]\n"},
+    {kAll, "  wdag --version\n"},
+    {kGenerated,
+     "\n"
+     "generators (--gen):\n"
+     "  random-upp   mixed random UPP workload: trees, one- and\n"
+     "               multi-cycle skeletons, odd-cycle gadgets\n"
+     "               (--k, --run-len, --chain, --paths, --size)\n"
+     "  random-dag   random DAG + random walks (--size, --density, --paths)\n"
+     "  no-internal  random DAG repaired to zero internal cycles\n"
+     "               (--size, --density, --paths)\n"
+     "  layered      layered DAG + random walks (--layers, --width-l,\n"
+     "               --density, --paths)\n"
+     "  tree         random out-tree + random requests (--size, --paths)\n"
+     "  grid         rows x cols grid + random requests (--rows-g, --cols,\n"
+     "               --paths)\n"
+     "  butterfly    k-dimensional butterfly + random requests (--dim,\n"
+     "               --paths)\n"
+     "  fat-chain    stage chain with fiber bundles + random walks\n"
+     "               (--stages, --width-l, --paths)\n"
+     "  spine        spine with leaves + random requests (--size, --paths)\n"
+     "  odd-cycle    Theorem 2 gadget, conflict graph C_{2k+1} (--k)\n"
+     "  c5 | c7      odd-cycle with k=2 / k=3\n"
+     "  figure1      Figure 1 pathological family (--k)\n"
+     "  figure3      Figure 3 instance (pi=2, w=3)\n"
+     "  havet        Theorem 7 / Wagner-graph instance (--h replication)\n"
+     "  --seed S     base seed (default 1)\n"},
+    {kGenerated | kServe,
+     "\n"
+     "solver flags:\n"
+     "  --exact-threshold N   exact certification cutoff (default 48)\n"
+     "  --exact-budget N      exact solver node budget\n"},
+    {kGenerated,
+     "  --force NAME          registered strategy name: theorem1 |\n"
+     "                        split-merge | dsatur | exact\n"},
+    {kSolve,
+     "\n"
+     "solve flags:\n"
+     "  --file PATH    solve an instance file instead of --gen\n"
+     "  --show-coloring    print the wavelength of every path\n"
+     "  --dump         print the solved instance in instance-text form\n"
+     "  solve --json PATH    also write the verdict as one JSON line\n"
+     "                 ('-' = stdout) — the same object a served solve\n"
+     "                 request returns, for field-level comparison\n"},
+    {kBatch | kSweep | kPlan | kRun | kDrive | kWorker | kServe | kRequest,
+     "\n"
+     "batch flags:\n"},
+    {kBatch | kSweep | kPlan | kDrive | kRequest,
+     "  --count N      instances in the batch (default 100)\n"},
+    {kBatch | kSweep | kRun | kDrive | kWorker | kServe,
+     "  --threads T    worker threads; 0 = hardware concurrency\n"
+     "                 (default 0, negatives rejected)\n"},
+    {kBatch | kSweep | kRun,
+     "  --min-chunk A  lower bound on the cost-sized chunk (default 1)\n"
+     "  --max-chunk B  upper bound on the cost-sized chunk (default 256);\n"
+     "                 seeding is per instance, so the chunk size never\n"
+     "                 changes results\n"},
+    {kBatch | kSweep,
+     "  --csv PATH     write per-instance rows (sweep: the sweep table)\n"
+     "                 as CSV ('-' = stdout); deterministic for a fixed seed\n"
+     "  --json PATH    write the aggregate report (sweep: the sweep\n"
+     "                 table) as JSON ('-' = stdout)\n"},
+    {kBatch,
+     "  --stream-csv PATH   stream the same CSV as chunks finish, at\n"
+     "                 near-constant memory (million-instance sweeps);\n"
+     "                 byte-identical to --csv for a fixed seed\n"
+     "  --rows         also print the per-instance table to stdout\n"
+     "  --keep-colorings    retain every instance's coloring in memory\n"
+     "                 (incompatible with --stream-csv)\n"},
+    {kSweep,
+     "\n"
+     "sweep flags:\n"
+     "  --param NAME   paths | size | density | k (generator knob to vary)\n"
+     "  --from A --to B --step S   inclusive range of the parameter\n"},
+    {kShard | kDrive,
+     "\n"
+     "shard flags:\n"},
+    {kPlan | kDrive,
+     "  --shards K     shards to split the index range into (plan/drive;\n"
+     "                 every shard must get >= 1 instance)\n"
+     "  --layout L     contiguous | striped (default contiguous): how the\n"
+     "                 plan distributes global indices — one balanced\n"
+     "                 range per shard, or round-robin striping that\n"
+     "                 spreads an index-correlated cost tail evenly\n"},
+    {kShard | kDrive,
+     "  --out P        plan: manifest path prefix, writes PREFIX.<i>.json;\n"
+     "                 run/merge/drive: output CSV path ('-' = stdout)\n"},
+    {kRun,
+     "  --manifest F   the shard manifest to execute (run); the workload,\n"
+     "                 seed, solver knobs and index range come from the\n"
+     "                 manifest — only execution knobs (--threads,\n"
+     "                 --min-chunk, ...) are read from the command line\n"
+     "  shard run --json PATH   also write the shard as JSON lines: the\n"
+     "                 manifest, one object per row, then the report\n"
+     "  --quiet        suppress the shard run summary line on stdout\n"
+     "                 (the drive workers pass this)\n"},
+    {kMerge,
+     "  merge accepts shard CSVs or the JSON-lines files of shard run;\n"
+     "  the format is detected from the file contents and the merged\n"
+     "  output matches it\n"},
+    {kDrive,
+     "\n"
+     "drive flags:\n"
+     "  --work-dir D   scratch directory for manifests and per-attempt\n"
+     "                 shard outputs (created if missing; required)\n"
+     "  --workers SPEC comma list mixing an integer (local subprocess\n"
+     "                 slots) and HOST:PORT endpoints of remote `wdag\n"
+     "                 worker` processes, e.g. '4', 'h1:9100,h2:9100'\n"
+     "                 or '2,h1:9100'. Default 0 local = min(shards,\n"
+     "                 hardware threads) when no remotes are given;\n"
+     "                 with remotes, 0 local means remote-only (the\n"
+     "                 drive degrades back to local slots if EVERY\n"
+     "                 remote goes unhealthy)\n"
+     "  --connect-timeout-ms MS   dial timeout of every remote attempt\n"
+     "                 (default 1000)\n"
+     "  --probe-interval SEC   seconds between health pings of each\n"
+     "                 remote worker (default 2)\n"
+     "  --probe-timeout-ms MS   per-ping timeout (default 500)\n"
+     "  --probe-miss-budget N   consecutive missed pings before a\n"
+     "                 remote worker leaves rotation; its in-flight\n"
+     "                 attempts re-dispatch elsewhere without burning\n"
+     "                 retry budget, and a later successful ping\n"
+     "                 returns it (default 3)\n"
+     "  --max-retries R   retries per shard after its first attempt\n"
+     "                 (default 2); exceeding R fails the drive\n"
+     "  --timeout SEC  per-attempt timeout; a late worker is killed and\n"
+     "                 retried (default 0 = off)\n"
+     "  --backoff SEC  base retry backoff, doubled per consecutive\n"
+     "                 failure of the same shard (default 0.25)\n"
+     "  --speculate F  re-execute a shard still running after F x the\n"
+     "                 median completed-shard time; the first validated\n"
+     "                 result wins (default 0 = off)\n"
+     "  --fail-fast N  abort after N consecutive failed attempts spanning\n"
+     "                 distinct shards — a systemic fault, not one bad\n"
+     "                 shard (default 8, 0 = off)\n"
+     "  --resume       reuse the validated shard outputs journaled in\n"
+     "                 --work-dir by a crashed or interrupted drive of\n"
+     "                 the SAME plan: each journaled output is\n"
+     "                 re-validated, verified shards are skipped, only\n"
+     "                 the remainder runs; merged bytes stay identical\n"
+     "                 to an uninterrupted run\n"
+     "  --events PATH  append one JSON line per lifecycle event\n"
+     "                 (dispatch/exit/timeout/retry/speculate/complete/\n"
+     "                 resume/quarantine/interrupt/done) to PATH\n"
+     "                 ('-' = stderr); opened in append mode, flushed\n"
+     "                 per line\n"
+     "  --progress     print the per-shard attempts/retries/timing table\n"
+     "                 after the drive\n"
+     "  --keep-work    keep the manifests, committed shard files and the\n"
+     "                 journal in --work-dir after a successful drive\n"
+     "  --wdag-bin P   worker binary to execute (default: this binary)\n"},
+    {kWorker | kServe | kRequest,
+     "\n"
+     "serve, worker and request flags:\n"
+     "  --host H       listen / connect address (default 127.0.0.1)\n"
+     "  --port P       TCP port; serve/worker: 0 picks an ephemeral port\n"
+     "                 (default 0), request: required\n"},
+    {kWorker | kServe,
+     "  --port-file PATH   write the bound port to PATH once listening\n"
+     "                 (scripts wait for the file, then connect)\n"
+     "  --idle-timeout-ms MS   close a session after MS without a\n"
+     "                 complete request line (default 0 = never)\n"},
+    {kServe,
+     "  --max-connections N   live session cap; a connection accepted\n"
+     "                 at the cap is answered 'rejected:\n"
+     "                 max_connections' and closed (default 0 = off)\n"
+     "  --queue N      admission queue capacity (default 64); a full\n"
+     "                 queue answers 'rejected: queue_full' immediately\n"
+     "                 instead of buffering without bound\n"},
+    {kServe | kRequest,
+     "  --deadline-ms D   serve: default deadline for requests that\n"
+     "                 carry none; request: this request's deadline.\n"
+     "                 A request whose deadline expires while queued is\n"
+     "                 answered 'rejected: deadline' without solving\n"
+     "                 (default 0 = none)\n"},
+    {kRequest,
+     "\n"
+     "request flags:\n"
+     "  --type T       solve | batch | stats (default solve)\n"
+     "  --id ID        client tag echoed in the response\n"
+     "  --req-file F   send the first line of F verbatim instead of\n"
+     "                 building the request from the flags\n"
+     "  --timeout-ms MS   give up when no response arrives within MS\n"
+     "                 (default 30000)\n"
+     "  --millis MS    length of a '--type sleep' request, which only a\n"
+     "                 server with WDAG_SERVE_TEST_HOOKS set honors\n"},
+    {kAll,
+     "\n"
+     "global flags:\n"
+     "  --help         print this help and exit 0 (after a command: that\n"
+     "                 command's help)\n"
+     "  --version      print 'wdag VERSION (build-type, arch) [simd:\n"
+     "                 tier]' and exit; fails on a bad WDAG_FORCE_ISA,\n"
+     "                 so it doubles as an ISA reachability probe\n"
+     "\n"
+     "environment:\n"
+     "  WDAG_FORCE_ISA pin the SIMD kernel dispatch to one ISA tier\n"
+     "                 (scalar | sse2 | avx2 | avx512) instead of the\n"
+     "                 highest the CPU supports; an unreachable tier is\n"
+     "                 a usage error, never a silent fallback\n"
+     "  WDAG_AFFINITY  pin pool workers to CPUs (Linux): 'on' pins\n"
+     "                 worker i to cpu i, a comma list '0,2,4' cycles\n"
+     "                 through those CPUs; unset/'off' leaves the OS free\n"},
+    {kServe | kRequest,
+     "  WDAG_SERVE_TEST_HOOKS   when set, wdag serve also honors 'sleep'\n"
+     "                 requests that occupy the worker for a fixed time\n"
+     "                 (deterministic backpressure in tests)\n"},
+    {kWorker,
+     "  WDAG_WORKER_FAIL_SHARD / WDAG_WORKER_DROP_CONN /\n"
+     "  WDAG_WORKER_CORRUPT_PAYLOAD / WDAG_WORKER_SLOW_HEARTBEAT /\n"
+     "  WDAG_WORKER_STALL_MS   one-shot fault hooks of wdag worker\n"
+     "                 (fail a shard, drop the connection mid-payload,\n"
+     "                 corrupt the payload after checksumming, delay\n"
+     "                 'count:ms' heartbeats, stall the first request)\n"
+     "                 — the remote-drive fault-injection test rig\n"},
+};
+
+/// The help of the given verbs (kAll: the whole usage).
+std::string help_text(unsigned verbs) {
+  std::string text;
+  for (const HelpEntry& entry : kHelp) {
+    if ((entry.verbs & verbs) != 0) text += entry.text;
+  }
+  return text;
+}
+
 int usage(std::ostream& os) {
-  os << "wdag — wavelength assignment on DAGs (Bermond & Coudert)\n"
-        "\n"
-        "usage:\n"
-        "  wdag solve --gen NAME [generator flags] [solver flags]\n"
-        "  wdag solve --file INSTANCE.txt [solver flags]\n"
-        "  wdag batch --gen NAME --count N [--threads T] [--seed S]\n"
-        "             [--csv PATH|-] [--json PATH|-] [--rows]\n"
-        "  wdag sweep --gen NAME --count N --param NAME --from A --to B\n"
-        "             [--step S] [--threads T] [--seed S]\n"
-        "  wdag shard plan --gen NAME --count N --shards K --out PREFIX\n"
-        "             [--layout L] [--seed S] [generator flags] [solver flags]\n"
-        "  wdag shard run --manifest FILE.json --out PATH|- [--threads T]\n"
-        "             [--min-chunk A] [--max-chunk B] [--json PATH]\n"
-        "             [--quiet]\n"
-        "  wdag shard merge --out PATH|- SHARD.csv [SHARD.csv ...]\n"
-        "  wdag drive --gen NAME --count N --shards K --work-dir DIR\n"
-        "             [--layout L] [--workers W|HOST:PORT,...]\n"
-        "             [--max-retries R] [--timeout SEC] [--backoff SEC]\n"
-        "             [--speculate F] [--fail-fast N] [--resume]\n"
-        "             [--events PATH] [--progress] [--out PATH|-]\n"
-        "             [--connect-timeout-ms MS] [--probe-interval SEC]\n"
-        "             [--probe-timeout-ms MS] [--probe-miss-budget N]\n"
-        "  wdag worker [--host H] [--port P] [--threads T]\n"
-        "             [--idle-timeout-ms MS] [--port-file PATH]\n"
-        "  wdag serve [--host H] [--port P] [--queue N] [--deadline-ms D]\n"
-        "             [--threads T] [--port-file PATH]\n"
-        "             [--max-connections N] [--idle-timeout-ms MS]\n"
-        "             [solver flags]\n"
-        "  wdag request --port P [--host H] [--type T] [--id ID]\n"
-        "             [--gen NAME ...] [--count N] [--deadline-ms D]\n"
-        "             [--req-file FILE] [--timeout-ms MS] [solver flags]\n"
-        "  wdag --version\n"
-        "\n"
-        "generators (--gen):\n"
-        "  random-upp   mixed random UPP workload: trees, one- and\n"
-        "               multi-cycle skeletons, odd-cycle gadgets\n"
-        "               (--k, --run-len, --chain, --paths, --size)\n"
-        "  random-dag   random DAG + random walks (--size, --density, --paths)\n"
-        "  no-internal  random DAG repaired to zero internal cycles\n"
-        "               (--size, --density, --paths)\n"
-        "  layered      layered DAG + random walks (--layers, --width-l,\n"
-        "               --density, --paths)\n"
-        "  tree         random out-tree + random requests (--size, --paths)\n"
-        "  grid         rows x cols grid + random requests (--rows-g, --cols,\n"
-        "               --paths)\n"
-        "  butterfly    k-dimensional butterfly + random requests (--dim,\n"
-        "               --paths)\n"
-        "  fat-chain    stage chain with fiber bundles + random walks\n"
-        "               (--stages, --width-l, --paths)\n"
-        "  spine        spine with leaves + random requests (--size, --paths)\n"
-        "  odd-cycle    Theorem 2 gadget, conflict graph C_{2k+1} (--k)\n"
-        "  c5 | c7      odd-cycle with k=2 / k=3\n"
-        "  figure1      Figure 1 pathological family (--k)\n"
-        "  figure3      Figure 3 instance (pi=2, w=3)\n"
-        "  havet        Theorem 7 / Wagner-graph instance (--h replication)\n"
-        "\n"
-        "solver flags:\n"
-        "  --exact-threshold N   exact certification cutoff (default 48)\n"
-        "  --exact-budget N      exact solver node budget\n"
-        "  --force NAME          registered strategy name: theorem1 |\n"
-        "                        split-merge | dsatur | exact\n"
-        "\n"
-        "solve flags:\n"
-        "  --file PATH    solve an instance file instead of --gen\n"
-        "  --show-coloring    print the wavelength of every path\n"
-        "  --dump         print the solved instance in instance-text form\n"
-        "  solve --json PATH    also write the verdict as one JSON line\n"
-        "                 ('-' = stdout) — the same object a served solve\n"
-        "                 request returns, for field-level comparison\n"
-        "\n"
-        "batch flags:\n"
-        "  --count N      instances in the batch (default 100)\n"
-        "  --threads T    worker threads; 0 = hardware concurrency\n"
-        "                 (default 0, negatives rejected)\n"
-        "  --min-chunk A  lower bound on the cost-sized chunk (default 1)\n"
-        "  --max-chunk B  upper bound on the cost-sized chunk (default 256);\n"
-        "                 seeding is per instance, so the chunk size never\n"
-        "                 changes results\n"
-        "  --schedule S   deprecated, ignored with a warning (one batch\n"
-        "                 scheduler); removed in 0.4.0\n"
-        "  --chunk C      deprecated: read as --min-chunk C --max-chunk C,\n"
-        "                 with a warning; removed in 0.4.0\n"
-        "  --seed S       base seed (default 1)\n"
-        "  --csv PATH     write per-instance rows as CSV ('-' = stdout);\n"
-        "                 deterministic for a fixed seed\n"
-        "  --stream-csv PATH   stream the same CSV as chunks finish, at\n"
-        "                 near-constant memory (million-instance sweeps);\n"
-        "                 byte-identical to --csv for a fixed seed\n"
-        "  --json PATH    write the aggregate report as JSON ('-' = stdout)\n"
-        "  --rows         also print the per-instance table to stdout\n"
-        "  --keep-colorings    retain every instance's coloring in memory\n"
-        "                 (incompatible with --stream-csv)\n"
-        "\n"
-        "sweep flags:\n"
-        "  --param NAME   paths | size | density | k (generator knob to vary)\n"
-        "  --from A --to B --step S   inclusive range of the parameter\n"
-        "\n"
-        "shard flags:\n"
-        "  --shards K     shards to split the index range into (plan/drive;\n"
-        "                 every shard must get >= 1 instance)\n"
-        "  --layout L     contiguous | striped (default contiguous): how the\n"
-        "                 plan distributes global indices — one balanced\n"
-        "                 range per shard, or round-robin striping that\n"
-        "                 spreads an index-correlated cost tail evenly\n"
-        "  --out P        plan: manifest path prefix, writes PREFIX.<i>.json;\n"
-        "                 run/merge/drive: output CSV path ('-' = stdout)\n"
-        "  --manifest F   the shard manifest to execute (run); the workload,\n"
-        "                 seed and index range come from the manifest —\n"
-        "                 only execution knobs (--threads, --min-chunk, ...)\n"
-        "                 are read from the command line\n"
-        "  --quiet        suppress the shard run summary line on stdout\n"
-        "                 (the drive workers pass this)\n"
-        "  merge accepts shard CSVs or shard JSON-lines files (shard run\n"
-        "  --json); the format is detected from the file contents and the\n"
-        "  merged output matches it\n"
-        "\n"
-        "drive flags:\n"
-        "  --work-dir D   scratch directory for manifests and per-attempt\n"
-        "                 shard outputs (created if missing; required)\n"
-        "  --workers SPEC comma list mixing an integer (local subprocess\n"
-        "                 slots) and HOST:PORT endpoints of remote `wdag\n"
-        "                 worker` processes, e.g. '4', 'h1:9100,h2:9100'\n"
-        "                 or '2,h1:9100'. Default 0 local = min(shards,\n"
-        "                 hardware threads) when no remotes are given;\n"
-        "                 with remotes, 0 local means remote-only (the\n"
-        "                 drive degrades back to local slots if EVERY\n"
-        "                 remote goes unhealthy)\n"
-        "  --connect-timeout-ms MS   dial timeout of every remote attempt\n"
-        "                 (default 1000)\n"
-        "  --probe-interval SEC   seconds between health pings of each\n"
-        "                 remote worker (default 2)\n"
-        "  --probe-timeout-ms MS   per-ping timeout (default 500)\n"
-        "  --probe-miss-budget N   consecutive missed pings before a\n"
-        "                 remote worker leaves rotation; its in-flight\n"
-        "                 attempts re-dispatch elsewhere without burning\n"
-        "                 retry budget, and a later successful ping\n"
-        "                 returns it (default 3)\n"
-        "  --max-retries R   retries per shard after its first attempt\n"
-        "                 (default 2); exceeding R fails the drive\n"
-        "  --timeout SEC  per-attempt timeout; a late worker is killed and\n"
-        "                 retried (default 0 = off)\n"
-        "  --backoff SEC  base retry backoff, doubled per consecutive\n"
-        "                 failure of the same shard (default 0.25)\n"
-        "  --speculate F  re-execute a shard still running after F x the\n"
-        "                 median completed-shard time; the first validated\n"
-        "                 result wins (default 0 = off)\n"
-        "  --fail-fast N  abort after N consecutive failed attempts spanning\n"
-        "                 distinct shards — a systemic fault, not one bad\n"
-        "                 shard (default 8, 0 = off)\n"
-        "  --resume       reuse the validated shard outputs journaled in\n"
-        "                 --work-dir by a crashed or interrupted drive of\n"
-        "                 the SAME plan: each journaled output is\n"
-        "                 re-validated, verified shards are skipped, only\n"
-        "                 the remainder runs; merged bytes stay identical\n"
-        "                 to an uninterrupted run\n"
-        "  --events PATH  append one JSON line per lifecycle event\n"
-        "                 (dispatch/exit/timeout/retry/speculate/complete/\n"
-        "                 resume/quarantine/interrupt/done) to PATH\n"
-        "                 ('-' = stderr); opened in append mode, flushed\n"
-        "                 per line\n"
-        "  --progress     print the per-shard attempts/retries/timing table\n"
-        "                 after the drive\n"
-        "  --keep-work    keep the manifests, committed shard files and the\n"
-        "                 journal in --work-dir after a successful drive\n"
-        "  --wdag-bin P   worker binary to execute (default: this binary)\n"
-        "\n"
-        "worker flags (a long-lived remote executor of drive attempts;\n"
-        "shares --host/--port/--port-file/--threads semantics):\n"
-        "  --idle-timeout-ms MS   close a session after MS without a\n"
-        "                 complete request line (worker and serve;\n"
-        "                 default 0 = never)\n"
-        "\n"
-        "serve flags:\n"
-        "  --max-connections N   live session cap; a connection accepted\n"
-        "                 at the cap is answered 'rejected:\n"
-        "                 max_connections' and closed (default 0 = off)\n"
-        "  --host H       listen / connect address (default 127.0.0.1)\n"
-        "  --port P       TCP port; serve: 0 picks an ephemeral port\n"
-        "                 (default 0), request: required\n"
-        "  --queue N      admission queue capacity (default 64); a full\n"
-        "                 queue answers 'rejected: queue_full' immediately\n"
-        "                 instead of buffering without bound\n"
-        "  --deadline-ms D   serve: default deadline for requests that\n"
-        "                 carry none; request: this request's deadline.\n"
-        "                 A request whose deadline expires while queued is\n"
-        "                 answered 'rejected: deadline' without solving\n"
-        "                 (default 0 = none)\n"
-        "  --port-file PATH   write the bound port to PATH once listening\n"
-        "                 (scripts wait for the file, then connect)\n"
-        "\n"
-        "request flags:\n"
-        "  --type T       solve | batch | stats (default solve)\n"
-        "  --id ID        client tag echoed in the response\n"
-        "  --req-file F   send the first line of F verbatim instead of\n"
-        "                 building the request from the flags\n"
-        "  --timeout-ms MS   give up when no response arrives within MS\n"
-        "                 (default 30000)\n"
-        "\n"
-        "global flags:\n"
-        "  --help         print this help and exit 0\n"
-        "  --version      print 'wdag VERSION (build-type, arch) [simd:\n"
-        "                 tier]' and exit; fails on a bad WDAG_FORCE_ISA,\n"
-        "                 so it doubles as an ISA reachability probe\n"
-        "\n"
-        "environment:\n"
-        "  WDAG_FORCE_ISA pin the SIMD kernel dispatch to one ISA tier\n"
-        "                 (scalar | sse2 | avx2 | avx512) instead of the\n"
-        "                 highest the CPU supports; an unreachable tier is\n"
-        "                 a usage error, never a silent fallback\n"
-        "  WDAG_AFFINITY  pin pool workers to CPUs (Linux): 'on' pins\n"
-        "                 worker i to cpu i, a comma list '0,2,4' cycles\n"
-        "                 through those CPUs; unset/'off' leaves the OS free\n"
-        "  WDAG_SERVE_TEST_HOOKS   when set, wdag serve also honors 'sleep'\n"
-        "                 requests that occupy the worker for a fixed time\n"
-        "                 (deterministic backpressure in tests)\n"
-        "  WDAG_WORKER_FAIL_SHARD / WDAG_WORKER_DROP_CONN /\n"
-        "  WDAG_WORKER_CORRUPT_PAYLOAD / WDAG_WORKER_SLOW_HEARTBEAT /\n"
-        "  WDAG_WORKER_STALL_MS   one-shot fault hooks of wdag worker\n"
-        "                 (fail a shard, drop the connection mid-payload,\n"
-        "                 corrupt the payload after checksumming, delay\n"
-        "                 'count:ms' heartbeats, stall the first request)\n"
-        "                 — the remote-drive fault-injection test rig\n";
+  os << help_text(kAll);
   return 2;
+}
+
+/// The verb the positional arguments name ("shard" alone or with an
+/// unknown subcommand: all three shard verbs), or 0 when there is none.
+unsigned verb_of(const std::vector<std::string>& pos) {
+  if (pos.empty()) return 0;
+  if (pos[0] == "shard") {
+    if (pos.size() > 1 && pos[1] == "plan") return kPlan;
+    if (pos.size() > 1 && pos[1] == "run") return kRun;
+    if (pos.size() > 1 && pos[1] == "merge") return kMerge;
+    return kShard;
+  }
+  constexpr std::pair<const char*, Verb> kVerbs[] = {
+      {"solve", kSolve},   {"batch", kBatch},   {"sweep", kSweep},
+      {"drive", kDrive},   {"worker", kWorker}, {"serve", kServe},
+      {"request", kRequest}};
+  for (const auto& [name, verb] : kVerbs) {
+    if (pos[0] == name) return verb;
+  }
+  return 0;
+}
+
+/// Refuses any flag the verb's help does not list, so a typo or a
+/// removed flag is a usage error instead of a silent no-op.
+void reject_unknown_flags(const Cli& cli, unsigned verb) {
+  const std::string help = help_text(verb);
+  std::set<std::string> listed;
+  for (std::size_t at = help.find("--"); at != std::string::npos;
+       at = help.find("--", at)) {
+    std::size_t end = at += 2;
+    while (end < help.size() &&
+           (std::islower(static_cast<unsigned char>(help[end])) ||
+            std::isdigit(static_cast<unsigned char>(help[end])) ||
+            help[end] == '-')) {
+      ++end;
+    }
+    listed.insert(help.substr(at, end - at));
+    at = end;
+  }
+  for (const auto& [flag, value] : cli.flags()) {
+    if (listed.count(flag) != 0) continue;
+    std::string name = cli.positional()[0];
+    if (verb != kShard && name == "shard") name += " " + cli.positional()[1];
+    throw wdag::InvalidArgument("unknown flag --" + flag + " for 'wdag " +
+                                name + "' (see 'wdag " + name + " --help')");
+  }
 }
 
 /// Everything solve/batch/sweep read from the command line, parsed once —
@@ -313,24 +432,6 @@ std::size_t thread_count(const Cli& cli) {
                "--threads must be >= 0 (0 = hardware concurrency), got " +
                    std::to_string(threads));
   return static_cast<std::size_t>(threads);
-}
-
-/// The scheduling flags retired with the second batch scheduler (removed
-/// in 0.4.0). Each one given prints one deprecation line to stderr:
-/// --schedule is ignored, and --chunk C is returned to be read as
-/// --min-chunk C --max-chunk C.
-std::optional<std::size_t> retired_schedule_flags(const Cli& cli) {
-  if (cli.has("schedule")) {
-    std::cerr << "wdag: --schedule is deprecated and ignored (one batch "
-                 "scheduler); it is removed in 0.4.0\n";
-  }
-  if (!cli.has("chunk")) return std::nullopt;
-  const std::int64_t chunk = cli.get_int("chunk", 1);
-  WDAG_REQUIRE(chunk >= 1,
-               "--chunk must be >= 1, got " + std::to_string(chunk));
-  std::cerr << "wdag: --chunk is deprecated and read as --min-chunk " << chunk
-            << " --max-chunk " << chunk << "; it is removed in 0.4.0\n";
-  return static_cast<std::size_t>(chunk);
 }
 
 CommonArgs read_common_args(const Cli& cli, std::size_t default_count) {
@@ -366,9 +467,6 @@ CommonArgs read_common_args(const Cli& cli, std::size_t default_count) {
                "--min-chunk/--max-chunk need 1 <= min <= max");
   a.batch.min_chunk = static_cast<std::size_t>(min_chunk);
   a.batch.max_chunk = static_cast<std::size_t>(max_chunk);
-  if (const auto chunk = retired_schedule_flags(cli)) {
-    a.batch.min_chunk = a.batch.max_chunk = *chunk;
-  }
   a.batch.seed = a.gen.seed;
   a.batch.keep_colorings = cli.has("keep-colorings");
   if (cli.has("stream-csv")) {
@@ -520,11 +618,6 @@ int cmd_batch(const Cli& cli) {
 int cmd_sweep(const Cli& cli) {
   CommonArgs args = read_common_args(cli, 64);
   WDAG_REQUIRE(!args.gen.family.empty(), "sweep requires --gen NAME");
-  // Each sweep point opens (and truncates) the stream path, so all but
-  // the last point's rows would be lost — reject rather than surprise.
-  WDAG_REQUIRE(args.stream_csv.empty(),
-               "sweep does not support --stream-csv (each point would "
-               "overwrite the file); use --csv for the sweep table");
   const std::string param = cli.get("param", "paths");
   const double from = cli.get_double("from", 8);
   const double to = cli.get_double("to", 64);
@@ -644,14 +737,8 @@ int cmd_shard_plan(const Cli& cli) {
 
 int cmd_shard_run(const Cli& cli) {
   // The manifest is the single source of truth for everything that
-  // affects bytes; reject workload AND solver flags instead of silently
-  // ignoring them (only execution knobs stay on the command line).
-  for (const char* flag :
-       {"gen", "seed", "count", "force", "exact-threshold", "exact-budget"}) {
-    WDAG_REQUIRE(!cli.has(flag),
-                 std::string("shard run reads the workload from the "
-                             "manifest; drop --") + flag);
-  }
+  // affects bytes: the workload and solver flags are not in shard run's
+  // help, so main() refuses them as unknown.
   const std::string manifest_path = cli.get("manifest", "");
   WDAG_REQUIRE(!manifest_path.empty(), "shard run requires --manifest FILE");
   const std::string out_path = cli.get("out", "");
@@ -975,7 +1062,6 @@ int cmd_worker(const Cli& cli) {
   options.host = cli.get("host", "127.0.0.1");
   options.port = listen_port(cli);
   options.engine_threads = thread_count(cli);
-  (void)retired_schedule_flags(cli);
   options.idle_timeout_ms = cli.get_double("idle-timeout-ms", 0.0);
   WDAG_REQUIRE(options.idle_timeout_ms >= 0.0,
                "--idle-timeout-ms must be >= 0 (0 = never)");
@@ -1101,20 +1187,6 @@ int cmd_request(const Cli& cli) {
   return 4;
 }
 
-int cmd_shard(const Cli& cli) {
-  const std::vector<std::string>& pos = cli.positional();
-  if (pos.size() < 2) {
-    std::cerr << "shard needs a subcommand: plan | run | merge\n";
-    return usage(std::cerr);
-  }
-  const std::string& sub = pos[1];
-  if (sub == "plan") return cmd_shard_plan(cli);
-  if (sub == "run") return cmd_shard_run(cli);
-  if (sub == "merge") return cmd_shard_merge(cli);
-  std::cerr << "unknown shard subcommand '" << sub << "'\n";
-  return usage(std::cerr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1124,8 +1196,9 @@ int main(int argc, char** argv) {
   wdag::util::ignore_sigpipe();
   try {
     const Cli cli(argc, argv);
+    const unsigned verb = verb_of(cli.positional());
     if (cli.has("help")) {
-      usage(std::cout);
+      std::cout << help_text(verb != 0 ? verb : kAll);
       return 0;
     }
     if (cli.has("version")) {
@@ -1141,18 +1214,31 @@ int main(int argc, char** argv) {
                 << "]\n";
       return 0;
     }
-    if (cli.positional().empty()) return usage(std::cerr);
-    const std::string& command = cli.positional().front();
-    if (command == "solve") return cmd_solve(cli);
-    if (command == "batch") return cmd_batch(cli);
-    if (command == "sweep") return cmd_sweep(cli);
-    if (command == "shard") return cmd_shard(cli);
-    if (command == "drive") return cmd_drive(cli);
-    if (command == "worker") return cmd_worker(cli);
-    if (command == "serve") return cmd_serve(cli);
-    if (command == "request") return cmd_request(cli);
-    std::cerr << "unknown command '" << command << "'\n";
-    return usage(std::cerr);
+    const std::vector<std::string>& pos = cli.positional();
+    if (pos.empty()) return usage(std::cerr);
+    if (verb != 0) reject_unknown_flags(cli, verb);
+    switch (verb) {
+      case kSolve: return cmd_solve(cli);
+      case kBatch: return cmd_batch(cli);
+      case kSweep: return cmd_sweep(cli);
+      case kPlan: return cmd_shard_plan(cli);
+      case kRun: return cmd_shard_run(cli);
+      case kMerge: return cmd_shard_merge(cli);
+      case kDrive: return cmd_drive(cli);
+      case kWorker: return cmd_worker(cli);
+      case kServe: return cmd_serve(cli);
+      case kRequest: return cmd_request(cli);
+      case kShard:
+        if (pos.size() < 2) {
+          std::cerr << "shard needs a subcommand: plan | run | merge\n";
+        } else {
+          std::cerr << "unknown shard subcommand '" << pos[1] << "'\n";
+        }
+        return usage(std::cerr);
+      default:
+        std::cerr << "unknown command '" << pos[0] << "'\n";
+        return usage(std::cerr);
+    }
   } catch (const std::exception& e) {
     std::cerr << "wdag: " << e.what() << "\n";
     return 2;

@@ -269,10 +269,6 @@ LatencyStats latency_stats(std::vector<double>& samples) {
   return stats;
 }
 
-std::string_view schedule_name(Schedule schedule) {
-  return schedule == Schedule::kStealing ? "stealing" : "fixed";
-}
-
 double BatchReport::instances_per_second() const {
   if (instance_count == 0 || wall_seconds <= 0.0) return 0.0;
   return static_cast<double>(instance_count) / wall_seconds;
@@ -331,7 +327,6 @@ std::string BatchReport::to_json() const {
   os << "\"instances\":" << instance_count;
   os << ",\"seed\":" << seed;
   os << ",\"threads\":" << threads_used;
-  os << ",\"schedule\":\"" << schedule_name(schedule) << "\"";
   os << ",\"chunk\":" << chunk_size;
   os << ",\"failures\":" << failure_count;
   os << ",\"optimal\":" << optimal_count;
@@ -395,7 +390,6 @@ BatchReport run_batch_items(std::size_t count, const BatchItemSolver& item,
   WDAG_REQUIRE(arenas.empty() || arenas.size() >= pool->size(),
                "run_batch_items: arenas must cover every pool worker");
   report.threads_used = pool->size();
-  report.schedule = options.schedule;
   CostModel* const model = options.cost_model;
 
   // The chunk size: the cost model sizes chunks to about constant

@@ -51,26 +51,11 @@ namespace wdag::core {
 
 class CostModel;
 
-/// Deprecated, removed in 0.4.0: every batch runs the one cost-sized,
-/// ascending-claim scheduler. The value is only echoed into
-/// BatchReport::schedule.
-enum class Schedule {
-  kFixed,
-  kStealing,
-};
-
-/// Deprecated, removed in 0.4.0. Display name of a schedule: "fixed" /
-/// "stealing".
-std::string_view schedule_name(Schedule schedule);
-
 /// Knobs of the batch driver (solver knobs live in SolveOptions).
 struct BatchOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   /// Ignored when the caller supplies its own pool (api::Engine does).
   std::size_t threads = 0;
-  /// Deprecated, removed in 0.4.0; ignored. Pin the chunk size with
-  /// min_chunk == max_chunk instead.
-  std::size_t chunk = 16;
   /// Base seed; instance i works with splitmix64(seed, i)-derived
   /// randomness, whatever the chunking or thread count.
   std::uint64_t seed = 1;
@@ -86,8 +71,6 @@ struct BatchOptions {
   /// index_base = s, index_stride = K to solve {s, s + K, s + 2K, ...}.
   /// Must be >= 1.
   std::size_t index_stride = 1;
-  /// Deprecated, removed in 0.4.0; ignored (echoed into the report).
-  Schedule schedule = Schedule::kFixed;
   /// Bounds on the cost-aware chunk size. min_chunk must be >= 1 and
   /// <= max_chunk; equal bounds pin the chunk size. (Seeding is per
   /// instance, so the chunk size never changes output.)
@@ -161,11 +144,7 @@ struct BatchReport {
   double wall_seconds = 0.0;            ///< end-to-end batch wall clock
   std::size_t threads_used = 0;
   std::uint64_t seed = 0;
-  /// Deprecated, removed in 0.4.0: echoes BatchOptions::schedule.
-  Schedule schedule = Schedule::kFixed;
   std::size_t chunk_size = 0;           ///< effective instances per chunk
-  /// Deprecated, removed in 0.4.0: always empty.
-  std::vector<std::size_t> worker_chunks;
 
   /// Instances solved per wall-clock second (0 for an empty batch).
   [[nodiscard]] double instances_per_second() const;

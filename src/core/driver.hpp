@@ -134,9 +134,6 @@ struct DriveOptions {
   std::string work_dir;
   /// --threads forwarded to every worker (0 = worker default).
   std::size_t worker_threads = 0;
-  /// Deprecated, removed in 0.4.0; ignored (every worker runs the one
-  /// batch scheduler).
-  Schedule worker_schedule = Schedule::kFixed;
   /// Keep committed shard files and the journal after a successful drive
   /// (default: a SUCCESSFUL drive deletes everything it created; failed
   /// or interrupted drives always keep committed outputs + journal so

@@ -32,6 +32,11 @@ class Cli {
   /// Double flag with default; throws on non-numeric values.
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
 
+  /// Every flag given, by name (without the leading `--`).
+  [[nodiscard]] const std::map<std::string, std::string>& flags() const {
+    return flags_;
+  }
+
   /// Positional (non-flag) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

@@ -1,12 +1,15 @@
-// Unit tests for the CLI flag parser, plus the retired scheduling flags
-// through the wdag binary named by WDAG_CLI_BIN (the CTest registration
-// passes $<TARGET_FILE:wdag_cli>; the binary case skips without it).
+// Unit tests for the CLI flag parser, plus each verb's flag set through
+// the wdag binary named by WDAG_CLI_BIN (the CTest registration passes
+// $<TARGET_FILE:wdag_cli>; the binary cases skip without it).
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -128,36 +131,75 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-// --schedule and --chunk are retired (removed in 0.4.0): still accepted,
-// each with one deprecation line on stderr, and the CSV bytes unchanged.
-TEST(CliRetiredFlagsTest, ScheduleAndChunkWarnAndKeepTheCsvBytes) {
-  const char* bin = std::getenv("WDAG_CLI_BIN");
-  if (bin == nullptr) GTEST_SKIP() << "WDAG_CLI_BIN not set";
-  const std::string dir = testing::TempDir() + "/wdag_cli_retired";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string batch = std::string("'") + bin +
-                            "' batch --gen random-upp --count 200 "
-                            "--threads 4 --seed 7";
-  const auto run = [&](const std::string& extra, const std::string& tag) {
-    const std::string cmd = batch + " " + extra + " --csv '" + dir + "/" +
-                            tag + ".csv' > /dev/null 2> '" + dir + "/" +
-                            tag + ".err'";
-    return std::system(cmd.c_str());
-  };
-  ASSERT_EQ(run("", "plain"), 0);
-  ASSERT_EQ(run("--schedule fixed --chunk 4", "retired"), 0);
-  const std::string want = read_file(dir + "/plain.csv");
-  ASSERT_FALSE(want.empty());
-  EXPECT_EQ(read_file(dir + "/retired.csv"), want);
-  EXPECT_EQ(read_file(dir + "/plain.err"), "");
-  const std::string err = read_file(dir + "/retired.err");
-  EXPECT_NE(err.find("--schedule is deprecated"), std::string::npos) << err;
-  EXPECT_NE(err.find("--chunk is deprecated and read as --min-chunk 4 "
-                     "--max-chunk 4"),
-            std::string::npos)
-      << err;
-  std::filesystem::remove_all(dir);
+/// Runs `wdag ARGS` through the shell; returns the exit status and
+/// fills `out` / `err` with what it printed. A command that runs instead
+/// of being refused (a server would listen for good) is stopped after
+/// 10 s and reads as status 124.
+int run_wdag(const std::string& args, std::string* out, std::string* err) {
+  const std::string dir = testing::TempDir();
+  const std::string out_path = dir + "/wdag_cli.out";
+  const std::string err_path = dir + "/wdag_cli.err";
+  const std::string cmd = std::string("timeout 10 '") +
+                          std::getenv("WDAG_CLI_BIN") + "' " + args + " > '" +
+                          out_path + "' 2> '" + err_path + "'";
+  const int status = std::system(cmd.c_str());
+  if (out != nullptr) *out = read_file(out_path);
+  if (err != nullptr) *err = read_file(err_path);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// A flag the verb does not take is a usage error: exit 2 and one line
+// that names the flag and the verb. The scheduling flags removed in 0.4.0
+// get no special treatment.
+TEST(CliBinaryTest, EveryVerbRefusesAFlagItDoesNotTake) {
+  if (std::getenv("WDAG_CLI_BIN") == nullptr) {
+    GTEST_SKIP() << "WDAG_CLI_BIN not set";
+  }
+  for (const std::string verb :
+       {"batch", "sweep", "shard run", "drive", "worker"}) {
+    for (const std::string args :
+         {"--schedule fixed", "--chunk 4", "--no-such-flag 1"}) {
+      const std::string flag = args.substr(0, args.find(' '));
+      std::string err;
+      EXPECT_EQ(run_wdag(verb + " " + args, nullptr, &err), 2)
+          << verb << " " << args;
+      EXPECT_EQ(err, "wdag: unknown flag " + flag + " for 'wdag " + verb +
+                         "' (see 'wdag " + verb + " --help')\n");
+    }
+  }
+}
+
+// Every flag a verb's --help lists is taken. Each flag goes with a
+// trailing unknown one that sorts after every real flag, so the refusal
+// names the first unknown flag in order and nothing runs: the error must
+// name the sentinel, never the listed flag.
+TEST(CliBinaryTest, EveryFlagAVerbsHelpListsIsTaken) {
+  if (std::getenv("WDAG_CLI_BIN") == nullptr) {
+    GTEST_SKIP() << "WDAG_CLI_BIN not set";
+  }
+  const std::regex flag_re("--[a-z][a-z0-9-]*");
+  for (const std::string verb :
+       {"solve", "batch", "sweep", "shard plan", "shard run", "shard merge",
+        "drive", "worker", "serve", "request"}) {
+    std::string help;
+    ASSERT_EQ(run_wdag(verb + " --help", &help, nullptr), 0) << verb;
+    std::set<std::string> flags(
+        std::sregex_token_iterator(help.begin(), help.end(), flag_re),
+        std::sregex_token_iterator());
+    // Global: answered before the verb runs, whatever else is given.
+    flags.erase("--help");
+    flags.erase("--version");
+    EXPECT_FALSE(flags.empty()) << verb;
+    for (const std::string& flag : flags) {
+      std::string err;
+      EXPECT_EQ(run_wdag(verb + " " + flag + " --zz-not-a-flag", nullptr,
+                         &err),
+                2)
+          << verb << " " << flag;
+      EXPECT_NE(err.find("unknown flag --zz-not-a-flag"), std::string::npos)
+          << verb << " " << flag << ": " << err;
+    }
+  }
 }
 
 }  // namespace

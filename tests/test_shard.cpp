@@ -41,7 +41,7 @@ std::string unsharded_csv(std::size_t threads) {
   CsvStreamSink sink(os);
   BatchRequest request = BatchRequest::generated("random-upp", kCount);
   request.options.seed = kSeed;
-  request.options.chunk = 4;
+  request.options.min_chunk = request.options.max_chunk = 4;
   request.options.keep_entries = false;
   request.sinks = {&sink};
   (void)engine.run_batch(request);
@@ -396,7 +396,7 @@ TEST(ShardMergeTest, StripedMergedBytesMatchUnsharded) {
       BatchRequest request = BatchRequest::generated(
           plan.spec().family, plan.spec().count, plan.spec().params);
       request.options.seed = plan.spec().seed;
-      request.options.chunk = 4;
+      request.options.min_chunk = request.options.max_chunk = 4;
       request.options.keep_entries = false;
       request.sinks = {&sink};
       (void)engine.run_shard(request, i, shards,
