@@ -26,7 +26,7 @@ class Theorem1Strategy final : public SolverStrategy {
   [[nodiscard]] bool self_validating() const override { return true; }
   [[nodiscard]] StrategyResult solve(const paths::DipathFamily& family,
                                      const StrategyContext& ctx) const override {
-    auto r = core::color_equal_load(family, ctx.preverified);
+    auto r = core::color_equal_load(family, ctx.report);
     StrategyResult out;
     out.coloring = std::move(r.coloring);
     out.wavelengths = r.wavelengths;
@@ -46,7 +46,7 @@ class SplitMergeStrategy final : public SolverStrategy {
   [[nodiscard]] bool self_validating() const override { return true; }
   [[nodiscard]] StrategyResult solve(const paths::DipathFamily& family,
                                      const StrategyContext& ctx) const override {
-    auto r = core::color_upp_split_merge(family, ctx.preverified);
+    auto r = core::color_upp_split_merge(family, ctx.report);
     StrategyResult out;
     out.coloring = std::move(r.coloring);
     out.wavelengths = r.wavelengths;
@@ -192,11 +192,7 @@ SolveResponse solve_with(const StrategyRegistry& registry,
                  "solve: forced strategy id is not registered");
   }
   const StrategyId chosen = force.value_or(registry.dispatch(resp.report));
-  // When dispatch (not force) picked a strategy, its applicability
-  // predicate over the classification already proved the preconditions —
-  // structural strategies skip their own re-verification then.
-  const StrategyContext ctx{resp.report, options, *arena,
-                            /*preverified=*/!force.has_value()};
+  const StrategyContext ctx{resp.report, options, *arena};
 
   const SolverStrategy& strategy = registry.at(chosen);
   StrategyResult r = strategy.solve(family, ctx);
@@ -210,7 +206,10 @@ SolveResponse solve_with(const StrategyRegistry& registry,
   resp.optimal = r.optimal || resp.wavelengths == resp.load;
   resp.diagnostics = std::move(r.note);
 
-  bool validated = strategy.self_validating();
+  // A dispatched strategy runs on a host its applicability predicate
+  // accepted; a forced one may not have, so its result is re-validated
+  // whatever it claims.
+  bool validated = strategy.self_validating() && !force.has_value();
 
   // Optional exact certification / improvement for small instances.
   if (!resp.optimal && options.exact_threshold > 0 &&

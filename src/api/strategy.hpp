@@ -54,9 +54,10 @@ struct StrategyContext {
   const core::SolveOptions& options;
   /// Per-worker scratch arena; reuse its buffers instead of allocating.
   core::SolveScratch& scratch;
-  /// True when dispatch (not force) chose this strategy, i.e. the
-  /// classification above already proved its preconditions — structural
-  /// strategies may skip their own re-verification.
+  /// Ignored since 0.5.0: the structural strategies check their
+  /// preconditions on `report`, and solve_with re-validates every forced
+  /// result. Kept so aggregate initializers that still set it compile;
+  /// see the README migration table.
   bool preverified = false;
 };
 
@@ -81,8 +82,9 @@ class SolverStrategy {
                                              const StrategyContext& ctx) const = 0;
 
   /// True when solve() already validates its colorings before returning;
-  /// the pipeline then skips its own re-validation. Defaults to false, so
-  /// user strategies are always cross-checked.
+  /// the pipeline then skips its own re-validation on dispatched solves
+  /// (a forced solve is always re-validated). Defaults to false, so user
+  /// strategies are always cross-checked.
   [[nodiscard]] virtual bool self_validating() const { return false; }
 };
 
@@ -123,8 +125,8 @@ const StrategyRegistry& builtin_registry();
 
 /// The canonical solve pipeline over a registry: classify, dispatch (or
 /// run `force`), solve, certify small non-optimal results with the exact
-/// strategy, validate non-self-validating outcomes. `scratch` may be null
-/// (a thread-local arena is used).
+/// strategy, validate forced and non-self-validating outcomes. `scratch`
+/// may be null (a thread-local arena is used).
 SolveResponse solve_with(const StrategyRegistry& registry,
                          const paths::DipathFamily& family,
                          const core::SolveOptions& options,
@@ -132,9 +134,8 @@ SolveResponse solve_with(const StrategyRegistry& registry,
                          core::SolveScratch* scratch = nullptr);
 
 /// solve_with into a pre-allocated batch entry slot; never throws
-/// (failures are captured into the entry). The single entry-filling
-/// implementation shared by the legacy batch entry points and
-/// Engine::run_batch.
+/// (failures are captured into the entry). Engine::run_batch's
+/// entry-filling step.
 void solve_into_entry(core::BatchEntry& entry,
                       const StrategyRegistry& registry,
                       const paths::DipathFamily& family,

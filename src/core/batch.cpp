@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "api/sink.hpp"
-#include "api/strategy.hpp"
 #include "conflict/coloring.hpp"
 #include "core/cost_model.hpp"
 #include "util/check.hpp"
@@ -28,17 +27,6 @@ namespace {
 util::Xoshiro256 instance_rng(std::uint64_t seed, std::size_t index) {
   util::SplitMix64 mix(seed ^ (0x9E3779B97F4A7C15ULL * (index + 1)));
   return util::Xoshiro256(mix.next());
-}
-
-/// Solves one instance into its pre-allocated entry slot over the
-/// built-in registry; never throws. One shared implementation with the
-/// Engine path (api::solve_into_entry).
-void solve_into(BatchEntry& entry, const paths::DipathFamily& family,
-                const SolveOptions& solve_options, SolveScratch& scratch,
-                bool keep_coloring) {
-  api::solve_into_entry(entry, api::builtin_registry(), family,
-                        solve_options, solve_options.force, scratch,
-                        keep_coloring);
 }
 
 /// A sink-bound copy of an entry: everything a row renders, minus the
@@ -477,48 +465,6 @@ BatchReport run_batch_items(std::size_t count, const BatchItemSolver& item,
   report.seed = options.seed;
   for (api::ResultSink* sink : all_sinks) sink->end(report);
   return report;
-}
-
-BatchReport solve_batch(std::span<const paths::DipathFamily> families,
-                        const SolveOptions& solve_options,
-                        const BatchOptions& batch_options) {
-  // A striped index set cannot be expressed as a subspan of the caller's
-  // families; striping is a generated-workload feature.
-  WDAG_REQUIRE(batch_options.index_stride == 1,
-               "solve_batch: explicit families require index_stride == 1 "
-               "(striped layouts need a generated workload)");
-  return run_batch_items(
-      families.size(),
-      [&families, &solve_options, &batch_options](
-          util::Xoshiro256& /*rng*/, std::size_t i, BatchEntry& entry,
-          SolveScratch& scratch) {
-        // i is global; the span holds this run's slice only.
-        solve_into(entry, families[i - batch_options.index_base],
-                   solve_options, scratch, batch_options.keep_colorings);
-      },
-      batch_options, builtin_strategy_names());
-}
-
-BatchReport solve_generated_batch(std::size_t count,
-                                  const InstanceGenerator& generate,
-                                  const SolveOptions& solve_options,
-                                  const BatchOptions& batch_options) {
-  WDAG_REQUIRE(generate != nullptr, "generator must be callable");
-  return run_batch_items(
-      count,
-      [&generate, &solve_options, &batch_options](
-          util::Xoshiro256& rng, std::size_t i, BatchEntry& entry,
-          SolveScratch& scratch) {
-        try {
-          const gen::Instance inst = generate(rng, i);
-          solve_into(entry, inst.family, solve_options, scratch,
-                     batch_options.keep_colorings);
-        } catch (const std::exception& e) {
-          entry.failed = true;
-          entry.error = e.what();
-        }
-      },
-      batch_options, builtin_strategy_names());
 }
 
 }  // namespace wdag::core

@@ -21,11 +21,11 @@
 // a straggler holds up only its own worker and the reorder window stays
 // shallow.
 //
-// run_batch_items is the generalized driver underneath both the legacy
-// entry points below and api::Engine::run_batch; per-instance stats are
-// keyed by StrategyId against a registry-sized count vector, so adding a
-// strategy can never silently fall off the histogram (the old
-// method_counts[4] C-array failure mode).
+// run_batch_items is the generalized driver underneath
+// api::Engine::run_batch; per-instance stats are keyed by StrategyId
+// against a registry-sized count vector, so adding a strategy can never
+// silently fall off the histogram (the old method_counts[4] C-array
+// failure mode).
 
 #include <cstdint>
 #include <functional>
@@ -130,8 +130,7 @@ struct BatchReport {
                                         ///< when keep_entries was false
   std::size_t instance_count = 0;       ///< instances solved (entries may be dropped)
   /// Solve count per strategy, indexed by StrategyId and sized to the
-  /// registry that ran the batch (the built-ins for the legacy entry
-  /// points below).
+  /// registry that ran the batch (the built-ins by default).
   std::vector<std::size_t> strategy_counts =
       std::vector<std::size_t>(kBuiltinStrategyCount, 0);
   /// Strategy display names, index-aligned with strategy_counts.
@@ -180,8 +179,7 @@ using BatchItemSolver =
     std::function<void(util::Xoshiro256& rng, std::size_t index,
                        BatchEntry& entry, SolveScratch& scratch)>;
 
-/// The chunked-deterministic batch driver shared by the legacy entry
-/// points and api::Engine::run_batch.
+/// The chunked-deterministic batch driver behind api::Engine::run_batch.
 ///
 ///  * `strategy_names` sizes the report's per-strategy count vector and
 ///    labels rows/histograms (pass the registry's names()).
@@ -200,27 +198,9 @@ BatchReport run_batch_items(std::size_t count, const BatchItemSolver& item,
                             util::ThreadPool* pool = nullptr,
                             std::span<SolveScratch> arenas = {});
 
-/// Solves every family in `families` (already built; host graphs must
-/// outlive the call) and aggregates the outcomes. Exceptions thrown by the
-/// solver on an instance are captured into that instance's entry rather
-/// than aborting the batch.
-BatchReport solve_batch(std::span<const paths::DipathFamily> families,
-                        const SolveOptions& solve_options = {},
-                        const BatchOptions& batch_options = {});
-
 /// Generator callback: produces instance `index` from its deterministic
 /// index-derived RNG. Must be callable concurrently from multiple threads.
 using InstanceGenerator =
     std::function<gen::Instance(util::Xoshiro256& rng, std::size_t index)>;
-
-/// Generate-and-solve fusion: materializes `count` instances on the
-/// workers (instance i is built inside its chunk from its own
-/// index-derived RNG, keeping peak memory at one chunk per worker) and
-/// solves each immediately. Deterministic for a fixed seed regardless of
-/// thread count or chunking.
-BatchReport solve_generated_batch(std::size_t count,
-                                  const InstanceGenerator& generate,
-                                  const SolveOptions& solve_options = {},
-                                  const BatchOptions& batch_options = {});
 
 }  // namespace wdag::core

@@ -7,7 +7,6 @@
 
 #include "core/theorem1.hpp"
 #include "dag/internal_cycle.hpp"
-#include "dag/upp.hpp"
 #include "graph/topo.hpp"
 #include "paths/flat_family.hpp"
 #include "util/check.hpp"
@@ -107,6 +106,8 @@ struct Arena {
   graph::DigraphBuilder builder;
   std::vector<std::size_t> loads;
   Theorem1Result leaf;
+  std::vector<VertexId> leaf_order;  ///< Kahn order of the bottom split graph
+  std::vector<std::uint32_t> indeg;
   std::vector<std::uint32_t> by_head_color;
   std::vector<std::uint8_t> seen, merged;
   ConflictIndex index;
@@ -358,16 +359,18 @@ void reduce_color_classes(Arena& ar, const Digraph& g, const FlatFamily& ps,
 
 }  // namespace
 
-SplitMergeResult color_upp_split_merge(const DipathFamily& family,
-                                       bool preverified) {
-  const Digraph& g = family.graph();
-  if (!preverified) {
-    WDAG_DOMAIN(graph::is_dag(g), "color_upp_split_merge: host is not a DAG");
-    WDAG_DOMAIN(dag::is_upp(g),
-                "color_upp_split_merge: host does not satisfy the unique-"
-                "dipath property");
-  }
+SplitMergeResult color_upp_split_merge(const DipathFamily& family) {
+  return color_upp_split_merge(family, dag::classify(family.graph()));
+}
 
+SplitMergeResult color_upp_split_merge(const DipathFamily& family,
+                                       const dag::DagReport& report) {
+  WDAG_DOMAIN(report.is_dag, "color_upp_split_merge: host is not a DAG");
+  WDAG_DOMAIN(report.is_upp,
+              "color_upp_split_merge: host does not satisfy the unique-"
+              "dipath property");
+
+  const Digraph& g = family.graph();
   SplitMergeResult res;
   if (family.empty()) return res;
 
@@ -375,7 +378,8 @@ SplitMergeResult color_upp_split_merge(const DipathFamily& family,
   Level& top = ar.level(0);
   top.graph = &g;
   top.family.assign(family);
-  dag::internal_arcs_into(g, top.internal);
+  top.internal.assign(report.internal_arcs.begin(),
+                      report.internal_arcs.end());
 
   // Descend: split one internal cycle per level until none is left. One
   // cycle search per level answers both "is there one?" and "which one?".
@@ -391,9 +395,17 @@ SplitMergeResult color_upp_split_merge(const DipathFamily& family,
 
   // The bottom level has no internal cycle: Theorem 1 colors it with
   // exactly its load. The recursion only ever splits a DAG, so the
-  // preconditions hold by construction.
+  // preconditions hold by construction. A split graph is a new graph and
+  // needs its own Kahn order; an unsplit host already has the report's.
   const Level& bottom = ar.levels[depth];
-  color_equal_load_into(*bottom.graph, bottom.family, ar.leaf);
+  std::span<const VertexId> order = report.topo_order;
+  if (depth > 0) {
+    const bool sorted =
+        graph::topological_sort_into(*bottom.graph, ar.leaf_order, ar.indeg);
+    WDAG_ASSERT(sorted, "split_merge: a split graph has a directed cycle");
+    order = ar.leaf_order;
+  }
+  color_equal_load_into(*bottom.graph, order, bottom.family, ar.leaf);
 
   // Ascend: merge every level onto the coloring of the one below it.
   std::span<const std::uint32_t> colors = ar.leaf.coloring;

@@ -37,6 +37,7 @@
 #include <cstddef>
 
 #include "conflict/coloring.hpp"
+#include "dag/classify.hpp"
 #include "paths/family.hpp"
 
 namespace wdag::core {
@@ -59,11 +60,14 @@ struct SplitMergeResult {
 /// For one internal cycle the paper guarantees
 /// wavelengths <= ceil(4/3 * load) on families of distinct-route dipaths;
 /// the bench E6 measures how the implementation tracks that bound.
-///
-/// `preverified` skips the is-DAG / UPP precondition checks; pass true
-/// only when the caller has already established both (the dispatcher in
-/// core/solver.cpp classifies the host once and reuses the verdict).
+/// Classifies the host first.
+SplitMergeResult color_upp_split_merge(const paths::DipathFamily& family);
+
+/// color_upp_split_merge() for a host the caller has classified: `report`
+/// must be dag::classify(family.graph()). The preconditions are checked on
+/// the report (same DomainError), and the recursion's top level starts
+/// from its internal-arc list.
 SplitMergeResult color_upp_split_merge(const paths::DipathFamily& family,
-                                       bool preverified = false);
+                                       const dag::DagReport& report);
 
 }  // namespace wdag::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "dag/internal_cycle.hpp"
 #include "graph/topo.hpp"
 #include "paths/load.hpp"
 #include "util/check.hpp"
@@ -12,6 +11,7 @@ namespace wdag::core {
 
 using graph::ArcId;
 using graph::Digraph;
+using graph::VertexId;
 using paths::DipathFamily;
 using paths::FlatFamily;
 using paths::PathId;
@@ -232,11 +232,11 @@ struct Replay {
 
 }  // namespace
 
-void color_equal_load_into(const Digraph& g, const FlatFamily& family,
-                           Theorem1Result& res) {
+void color_equal_load_into(const Digraph& g, std::span<const VertexId> order,
+                           const FlatFamily& family, Theorem1Result& res) {
   Replay replay(g, family);
   thread_local std::vector<ArcId> removal_order;
-  graph::arcs_in_tail_topo_order_into(g, removal_order);
+  graph::arcs_in_tail_topo_order_into(g, order, removal_order);
   for (auto it = removal_order.rbegin(); it != removal_order.rend(); ++it) {
     replay.add_arc(*it);
   }
@@ -256,28 +256,26 @@ void color_equal_load_into(const Digraph& g, const FlatFamily& family,
               "theorem1: wavelength count differs from the load");
 }
 
-Theorem1Result color_equal_load(const DipathFamily& family, bool preverified) {
-  const Digraph& g = family.graph();
-  if (!preverified) {
-    WDAG_DOMAIN(graph::is_dag(g), "color_equal_load: host graph is not a DAG");
-    WDAG_DOMAIN(!dag::has_internal_cycle(g),
-                "color_equal_load: host graph has an internal cycle; "
-                "Theorem 1 does not apply (use the split-merge solver)");
-  }
+Theorem1Result color_equal_load(const DipathFamily& family,
+                                const dag::DagReport& report) {
+  WDAG_DOMAIN(report.is_dag, "color_equal_load: host graph is not a DAG");
+  WDAG_DOMAIN(report.internal_cycles == 0,
+              "color_equal_load: host graph has an internal cycle; "
+              "Theorem 1 does not apply (use the split-merge solver)");
 
   Theorem1Result res;
   if (family.empty()) return res;
 
   thread_local FlatFamily flat;
   flat.assign(family);
-  color_equal_load_into(g, flat, res);
+  color_equal_load_into(family.graph(), report.topo_order, flat, res);
+  return res;
+}
 
-  // The replay keeps per-arc colors distinct invariantly (the
-  // distinct-color loop re-establishes it at every restored arc), so the
-  // full re-validation only runs for direct API callers; the dispatcher's
-  // trusted fast path keeps just the w == pi certificate.
-  WDAG_ASSERT(preverified ||
-                  conflict::is_valid_assignment(family, res.coloring),
+Theorem1Result color_equal_load(const DipathFamily& family) {
+  Theorem1Result res =
+      color_equal_load(family, dag::classify(family.graph()));
+  WDAG_ASSERT(conflict::is_valid_assignment(family, res.coloring),
               "theorem1: produced an invalid wavelength assignment");
   return res;
 }

@@ -19,14 +19,17 @@
 //     chain recoloring (an alpha/beta Kempe-style walk over intersecting
 //     dipaths) frees a color. Case B of the proof (re-recoloring) cannot
 //     occur; case C (the chain hits the kept path) would exhibit an
-//     internal cycle, so on valid input it never fires — we verify the
-//     precondition up front and assert it never does.
+//     internal cycle, so on valid input it never fires — we check the
+//     precondition up front (on the host's dag::DagReport) and assert it
+//     never does.
 //
 // The result uses exactly pi(G,P) wavelengths, certifying w == pi.
 
 #include <cstddef>
+#include <span>
 
 #include "conflict/coloring.hpp"
+#include "dag/classify.hpp"
 #include "paths/family.hpp"
 #include "paths/flat_family.hpp"
 
@@ -44,23 +47,25 @@ struct Theorem1Result {
 /// Colors `family` with exactly pi(G,P) wavelengths.
 ///
 /// Preconditions (checked): the host graph is a DAG with no internal cycle.
-/// Throws wdag::DomainError otherwise. The returned coloring is validated
-/// against the family before returning.
-///
-/// `preverified` is the trusted-caller fast path: it skips the
-/// precondition checks and the redundant final re-validation (the replay
-/// maintains per-arc distinctness invariantly; w == pi is still
-/// asserted). Pass true only when the caller has already established the
-/// preconditions (the dispatcher classifies the host once, and the
-/// split-merge recursion re-checks at every level).
-Theorem1Result color_equal_load(const paths::DipathFamily& family,
-                                bool preverified = false);
+/// Throws wdag::DomainError otherwise. Classifies the host first, and
+/// validates the returned coloring against the family before returning.
+Theorem1Result color_equal_load(const paths::DipathFamily& family);
 
-/// The Theorem-1 replay over a flat path list on g: the trusted-caller
-/// contract of color_equal_load(family, true) (no precondition checks, the
-/// w == pi certificate kept) for the split-merge leaf, which holds its
-/// levels in flat form. Writes into `res`, reusing its coloring's storage.
+/// color_equal_load() for a host the caller has classified: `report` must
+/// be dag::classify(family.graph()). The preconditions are checked on the
+/// report (same DomainError), the removal order comes from its
+/// topological order, and the final re-validation is left to the caller
+/// (the replay keeps per-arc colors distinct invariantly; w == pi is still
+/// asserted). api::solve_with validates whatever it did not dispatch.
+Theorem1Result color_equal_load(const paths::DipathFamily& family,
+                                const dag::DagReport& report);
+
+/// The Theorem-1 replay over a flat path list on g, removing arcs in tail
+/// order along `order` (a topological order of g): no precondition checks,
+/// the w == pi certificate kept. The split-merge leaf holds its levels in
+/// flat form. Writes into `res`, reusing its coloring's storage.
 void color_equal_load_into(const graph::Digraph& g,
+                           std::span<const graph::VertexId> order,
                            const paths::FlatFamily& family,
                            Theorem1Result& res);
 

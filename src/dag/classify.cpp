@@ -16,13 +16,17 @@ DagReport classify(const graph::Digraph& g) {
   const auto stats = graph::degree_stats(g);
   r.num_sources = stats.num_sources;
   r.num_sinks = stats.num_sinks;
-  // One Kahn pass answers acyclicity and feeds the UPP DP.
-  const auto order = graph::topological_sort(g);
-  r.is_dag = order.has_value();
-  if (r.is_dag) {
-    r.internal_cycles = internal_cycle_count(g);
-    r.is_upp = is_upp(g, *order);
+  // One Kahn pass answers acyclicity and orders every later query.
+  thread_local std::vector<std::uint32_t> indeg;
+  r.is_dag = graph::topological_sort_into(g, r.topo_order, indeg);
+  if (!r.is_dag) {
+    r.topo_order.clear();
+    return r;
   }
+  r.internal_arcs.reserve(g.num_arcs());
+  internal_arcs_into(g, r.internal_arcs);
+  r.internal_cycles = internal_cycle_count(g, r.internal_arcs);
+  r.is_upp = is_upp(g, r.topo_order);
   return r;
 }
 

@@ -7,22 +7,34 @@
 //                                 per cycle level
 //   otherwise                  -> heuristics + exact search, w unbounded
 //                                 relative to pi (Figure 1)
+//
+// classify() is the one place a solve derives these facts. The report
+// keeps the topological order and the internal-arc list its passes
+// produced, so the structural colorers read them instead of sorting and
+// scanning the host again.
 
 #include <string>
+#include <vector>
 
 #include "graph/digraph.hpp"
 
 namespace wdag::dag {
 
 /// Structural facts about a digraph relevant to wavelength assignment.
+/// Everything past `is_dag` is only set for DAGs (empty or zero otherwise).
 struct DagReport {
   bool is_dag = false;            ///< no directed cycle
-  bool is_upp = false;            ///< unique-dipath property (only set for DAGs)
+  bool is_upp = false;            ///< unique-dipath property
   std::size_t internal_cycles = 0;///< cyclomatic count of internal cycles
   std::size_t num_vertices = 0;
   std::size_t num_arcs = 0;
   std::size_t num_sources = 0;
   std::size_t num_sinks = 0;
+  /// Kahn's topological order of the vertices (graph::topological_sort).
+  std::vector<graph::VertexId> topo_order;
+  /// Arcs with both endpoints internal, ascending
+  /// (dag::internal_arcs_into).
+  std::vector<graph::ArcId> internal_arcs;
 
   /// True when Theorem 1 guarantees w == pi for every family.
   [[nodiscard]] bool wavelengths_equal_load() const {
@@ -35,7 +47,9 @@ struct DagReport {
   }
 };
 
-/// Computes the full report. UPP is only evaluated when g is a DAG.
+/// Computes the full report: one Kahn pass, one internal-arc scan, then
+/// the internal-cycle count over that arc list and the UPP test over that
+/// order. A warm call allocates only the report's two vectors.
 DagReport classify(const graph::Digraph& g);
 
 /// Human-readable multi-line summary of a report.

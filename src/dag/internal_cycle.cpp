@@ -38,19 +38,21 @@ void internal_arcs_into(const Digraph& g, std::vector<ArcId>& out) {
 }
 
 bool has_internal_cycle(const Digraph& g) {
-  util::UnionFind uf(g.num_vertices());
-  for (ArcId a : internal_arcs(g)) {
-    if (!uf.unite(g.tail(a), g.head(a))) return true;
-  }
-  return false;
+  return internal_cycle_count(g) != 0;
 }
 
 std::size_t internal_cycle_count(const Digraph& g) {
+  return internal_cycle_count(g, internal_arcs(g));
+}
+
+std::size_t internal_cycle_count(const Digraph& g,
+                                 std::span<const ArcId> arcs) {
   // Cyclomatic number of the internal sub-multigraph = number of arcs that
   // close a cycle during union-find, i.e. m' - (n' - c').
-  util::UnionFind uf(g.num_vertices());
+  thread_local util::UnionFind uf;
+  uf.reset(g.num_vertices());
   std::size_t closing = 0;
-  for (ArcId a : internal_arcs(g)) {
+  for (const ArcId a : arcs) {
     if (!uf.unite(g.tail(a), g.head(a))) ++closing;
   }
   return closing;

@@ -29,6 +29,12 @@ bool has_internal_cycle(const graph::Digraph& g);
 /// "exactly one" (Theorem 6 applies to UPP-DAGs).
 std::size_t internal_cycle_count(const graph::Digraph& g);
 
+/// internal_cycle_count() over a caller-supplied list of g's internal
+/// arcs (as internal_arcs_into() computes them); its union-find lives in
+/// per-thread storage.
+std::size_t internal_cycle_count(const graph::Digraph& g,
+                                 std::span<const graph::ArcId> internal_arcs);
+
 /// Extracts one internal cycle, or nullopt when none exists.
 /// The returned cycle is a valid OrientedCycle of g visiting only internal
 /// vertices; the result is deterministic for a given graph.

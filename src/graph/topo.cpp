@@ -1,16 +1,11 @@
 #include "graph/topo.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace wdag::graph {
 
-namespace {
-
-/// Kahn's algorithm into caller-owned buffers; false on a directed cycle.
-bool kahn_into(const Digraph& g, std::vector<VertexId>& order,
-               std::vector<std::uint32_t>& indeg) {
+bool topological_sort_into(const Digraph& g, std::vector<VertexId>& order,
+                           std::vector<std::uint32_t>& indeg) {
   const std::size_t n = g.num_vertices();
   indeg.resize(n);
   order.clear();
@@ -31,12 +26,10 @@ bool kahn_into(const Digraph& g, std::vector<VertexId>& order,
   return order.size() == n;  // short: directed cycle
 }
 
-}  // namespace
-
 std::optional<std::vector<VertexId>> topological_sort(const Digraph& g) {
   std::vector<VertexId> order;
   std::vector<std::uint32_t> indeg;
-  if (!kahn_into(g, order, indeg)) return std::nullopt;
+  if (!topological_sort_into(g, order, indeg)) return std::nullopt;
   return order;
 }
 
@@ -57,17 +50,19 @@ std::vector<std::uint32_t> topo_positions(const Digraph& g,
 }
 
 std::vector<ArcId> arcs_in_tail_topo_order(const Digraph& g) {
+  const auto order = topological_sort(g);
+  WDAG_REQUIRE(order.has_value(),
+               "arcs_in_tail_topo_order: input is not a DAG");
   std::vector<ArcId> arcs;
-  arcs_in_tail_topo_order_into(g, arcs);
+  arcs_in_tail_topo_order_into(g, *order, arcs);
   return arcs;
 }
 
-void arcs_in_tail_topo_order_into(const Digraph& g, std::vector<ArcId>& out) {
-  // Per-thread Kahn buffers: the Theorem-1 replay asks once per instance.
-  thread_local std::vector<VertexId> order;
-  thread_local std::vector<std::uint32_t> indeg;
-  WDAG_REQUIRE(kahn_into(g, order, indeg),
-               "arcs_in_tail_topo_order: input is not a DAG");
+void arcs_in_tail_topo_order_into(const Digraph& g,
+                                  std::span<const VertexId> order,
+                                  std::vector<ArcId>& out) {
+  WDAG_ASSERT(order.size() == g.num_vertices(),
+              "arcs_in_tail_topo_order: order is not a full vertex order");
   out.clear();
   out.reserve(g.num_arcs());
   for (VertexId v : order) {
@@ -75,8 +70,6 @@ void arcs_in_tail_topo_order_into(const Digraph& g, std::vector<ArcId>& out) {
     // out in insertion order and the CSR fill preserves it).
     for (ArcId a : g.out_arcs(v)) out.push_back(a);
   }
-  WDAG_ASSERT(out.size() == g.num_arcs(),
-              "arcs_in_tail_topo_order: arc count mismatch");
 }
 
 }  // namespace wdag::graph

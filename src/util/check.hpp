@@ -53,6 +53,14 @@ template <class Err>
                                                     std::string(msg));       \
   } while (0)
 
+/// User-input check (command-line flags and arguments): throws
+/// wdag::InvalidArgument carrying `msg` alone. WDAG_REQUIRE's source
+/// location serves library callers; a user at a shell gets nothing from it.
+#define WDAG_USAGE(cond, msg)                                                \
+  do {                                                                       \
+    if (!(cond)) throw ::wdag::InvalidArgument(std::string(msg));            \
+  } while (0)
+
 /// Internal invariant check: throws wdag::InternalError when `cond` is false.
 #define WDAG_ASSERT(cond, msg)                                               \
   do {                                                                       \

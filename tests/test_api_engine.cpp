@@ -364,7 +364,7 @@ TEST(EngineStrategyTest, BatchCanForceACustomStrategyByName) {
 // Batch request plumbing.
 // ---------------------------------------------------------------------------
 
-TEST(EngineBatchTest, GeneratedBatchMatchesTheLegacyEntryPoint) {
+TEST(EngineBatchTest, GeneratedBatchMatchesACustomGenerator) {
   EngineOptions options;
   options.threads = 2;
   Engine engine(options);
@@ -374,21 +374,22 @@ TEST(EngineBatchTest, GeneratedBatchMatchesTheLegacyEntryPoint) {
   request.options.min_chunk = request.options.max_chunk = 8;
   const core::BatchReport via_engine = engine.run_batch(request);
 
-  core::BatchOptions legacy_options;
-  legacy_options.seed = 4242;
-  legacy_options.min_chunk = legacy_options.max_chunk = 8;
-  legacy_options.threads = 1;
-  const core::BatchReport legacy = core::solve_generated_batch(
-      80,
-      [](util::Xoshiro256& rng, std::size_t) {
-        return gen::workload_instance("random-upp", {}, rng);
-      },
-      core::SolveOptions{}, legacy_options);
+  // The same stream through a generate callback on a one-worker engine.
+  EngineOptions single_options;
+  single_options.threads = 1;
+  Engine single(single_options);
+  BatchRequest custom;
+  custom.generate = [](util::Xoshiro256& rng, std::size_t) {
+    return gen::workload_instance("random-upp", {}, rng);
+  };
+  custom.count = 80;
+  custom.options = request.options;
+  const core::BatchReport reference = single.run_batch(custom);
 
   EXPECT_EQ(via_engine.rows_table(false).to_csv(),
-            legacy.rows_table(false).to_csv());
-  EXPECT_EQ(via_engine.strategy_counts, legacy.strategy_counts);
-  EXPECT_EQ(via_engine.optimal_count, legacy.optimal_count);
+            reference.rows_table(false).to_csv());
+  EXPECT_EQ(via_engine.strategy_counts, reference.strategy_counts);
+  EXPECT_EQ(via_engine.optimal_count, reference.optimal_count);
 }
 
 TEST(EngineBatchTest, CustomGeneratorCallbackAndFailureCapture) {

@@ -1,4 +1,4 @@
-// Result sinks: byte-equivalence of CsvStreamSink with the legacy --csv
+// Result sinks: byte-equivalence of CsvStreamSink with the in-memory --csv
 // path across thread counts and seeds, in-order delivery, JSON shape,
 // aggregate folding, and multi-sink fan-out in one pass.
 
@@ -27,19 +27,20 @@ BatchRequest request_for(std::uint64_t seed) {
   return request;
 }
 
-/// The legacy reference: same workload through solve_generated_batch, one
-/// thread, rendered via rows_table — the pre-sink `--csv` code path.
-std::string legacy_csv(std::uint64_t seed) {
-  core::BatchOptions options;
-  options.seed = seed;
-  options.min_chunk = options.max_chunk = 8;
-  options.threads = 1;
-  const core::BatchReport report = core::solve_generated_batch(
-      kCount,
-      [](util::Xoshiro256& rng, std::size_t) {
-        return gen::workload_instance("random-upp", {}, rng);
-      },
-      core::SolveOptions{}, options);
+/// The in-memory reference: same workload through a custom generator on
+/// one thread, rendered via rows_table — the pre-sink `--csv` code path.
+std::string in_memory_csv(std::uint64_t seed) {
+  EngineOptions engine_options;
+  engine_options.threads = 1;
+  Engine engine(engine_options);
+  BatchRequest request;
+  request.generate = [](util::Xoshiro256& rng, std::size_t) {
+    return gen::workload_instance("random-upp", {}, rng);
+  };
+  request.count = kCount;
+  request.options.seed = seed;
+  request.options.min_chunk = request.options.max_chunk = 8;
+  const core::BatchReport report = engine.run_batch(request);
   return report.rows_table(/*with_latency=*/false).to_csv();
 }
 
@@ -76,7 +77,7 @@ class RecordingSink final : public ResultSink {
 
 TEST(CsvStreamSinkTest, ByteIdenticalToLegacyCsvAcrossThreadsAndSeeds) {
   for (const std::uint64_t seed : {std::uint64_t{4242}, std::uint64_t{99}}) {
-    const std::string want = legacy_csv(seed);
+    const std::string want = in_memory_csv(seed);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       EngineOptions options;
       options.threads = threads;
@@ -107,7 +108,7 @@ TEST(CsvStreamSinkTest, FileBackedSinkProducesTheSameBytes) {
     (void)engine.run_batch(streamed);
   }
 
-  EXPECT_EQ(slurp(path), legacy_csv(4242));
+  EXPECT_EQ(slurp(path), in_memory_csv(4242));
   std::remove(path.c_str());
 }
 
@@ -224,7 +225,7 @@ TEST(ResultSinkTest, MultipleSinksShareOnePassOverTheBatch) {
   request.sinks = {&csv, &json, &aggregate};
   const core::BatchReport report = engine.run_batch(request);
 
-  EXPECT_EQ(csv_out.str(), legacy_csv(4242));
+  EXPECT_EQ(csv_out.str(), in_memory_csv(4242));
   EXPECT_EQ(aggregate.totals().instances, report.instance_count);
   EXPECT_FALSE(json_out.str().empty());
 }

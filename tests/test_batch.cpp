@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,7 +40,6 @@ using namespace wdag;
 using core::BatchOptions;
 using core::BatchReport;
 using core::StrategyId;
-using core::SolveOptions;
 using gen::Instance;
 using util::Xoshiro256;
 
@@ -48,12 +48,36 @@ Instance mixed_instance(Xoshiro256& rng, std::size_t index) {
   return test::mixed_regime_instance(rng, index);
 }
 
+/// Solves pre-built families on an engine of options.threads workers.
+BatchReport run_families(std::span<const paths::DipathFamily> families,
+                         const BatchOptions& options = {}) {
+  api::EngineOptions engine_options;
+  engine_options.threads = options.threads;
+  api::Engine engine(engine_options);
+  api::BatchRequest request = api::BatchRequest::of(families);
+  request.options = options;
+  return engine.run_batch(request);
+}
+
+/// Generates and solves `count` mixed-regime instances on an engine of
+/// options.threads workers.
+BatchReport run_generated(std::size_t count, const BatchOptions& options) {
+  api::EngineOptions engine_options;
+  engine_options.threads = options.threads;
+  api::Engine engine(engine_options);
+  api::BatchRequest request;
+  request.generate = mixed_instance;
+  request.count = count;
+  request.options = options;
+  return engine.run_batch(request);
+}
+
 /// Builds the workload up front so validity can be cross-checked against
 /// the original families after the batch returns.
 std::vector<Instance> build_workload(std::size_t count, std::uint64_t seed) {
   // One sequential RNG stream — deliberately NOT the engine's per-chunk
-  // derivation; these instances exist to cross-check solve_batch against
-  // the originals, not to reproduce solve_generated_batch's stream.
+  // derivation; these instances exist to cross-check a families batch
+  // against the originals, not to reproduce a generated batch's stream.
   std::vector<Instance> instances;
   instances.reserve(count);
   Xoshiro256 rng(seed);
@@ -78,8 +102,7 @@ TEST(BatchCrossCheckTest, RandomizedInstancesSatisfySolverInvariants) {
 
   BatchOptions batch_options;
   batch_options.keep_colorings = true;
-  const BatchReport report =
-      core::solve_batch(families, SolveOptions{}, batch_options);
+  const BatchReport report = run_families(families, batch_options);
 
   ASSERT_EQ(report.entries.size(), kInstances);
   EXPECT_EQ(report.failure_count, 0u);
@@ -123,7 +146,7 @@ TEST(BatchCrossCheckTest, RandomizedInstancesSatisfySolverInvariants) {
 TEST(BatchCrossCheckTest, DispatchHistogramSpansMultipleStrategies) {
   const std::vector<Instance> workload = build_workload(120, 99);
   const std::vector<paths::DipathFamily> families = families_of(workload);
-  const BatchReport report = core::solve_batch(families);
+  const BatchReport report = run_families(families);
   std::size_t methods_hit = 0;
   for (const StrategyId id :
        {core::kStrategyTheorem1, core::kStrategySplitMerge,
@@ -140,8 +163,7 @@ TEST(BatchDeterminismTest, IdenticalSeedsGiveIdenticalReportsAcrossThreads) {
     opts.threads = threads;
     opts.min_chunk = opts.max_chunk = 8;
     opts.seed = 4242;
-    return core::solve_generated_batch(150, mixed_instance, SolveOptions{},
-                                       opts);
+    return run_generated(150, opts);
   };
   const BatchReport one = run(1);
   const BatchReport many = run(4);
@@ -159,8 +181,7 @@ TEST(BatchDeterminismTest, IdenticalSeedsGiveIdenticalReportsAcrossThreads) {
   BatchOptions other;
   other.min_chunk = other.max_chunk = 8;
   other.seed = 4243;
-  const BatchReport different = core::solve_generated_batch(
-      150, mixed_instance, SolveOptions{}, other);
+  const BatchReport different = run_generated(150, other);
   EXPECT_NE(one.rows_table(false).to_csv(),
             different.rows_table(false).to_csv());
 }
@@ -168,7 +189,7 @@ TEST(BatchDeterminismTest, IdenticalSeedsGiveIdenticalReportsAcrossThreads) {
 TEST(BatchReportTest, AggregatesCountsAndPercentiles) {
   const std::vector<Instance> workload = build_workload(64, 7);
   const std::vector<paths::DipathFamily> families = families_of(workload);
-  const BatchReport report = core::solve_batch(families);
+  const BatchReport report = run_families(families);
 
   std::size_t total = report.failure_count;
   for (const StrategyId id :
@@ -206,7 +227,7 @@ TEST(BatchFailureTest, PerInstanceFailuresAreCapturedNotFatal) {
   families.push_back(bad);
   families.push_back(good);
 
-  const BatchReport report = core::solve_batch(families);
+  const BatchReport report = run_families(families);
   ASSERT_EQ(report.entries.size(), 3u);
   EXPECT_EQ(report.failure_count, 1u);
   EXPECT_FALSE(report.entries[0].failed);
@@ -220,7 +241,7 @@ TEST(BatchFailureTest, PerInstanceFailuresAreCapturedNotFatal) {
 }
 
 TEST(BatchEdgeCaseTest, EmptyBatchAndEmptyFamiliesAreFine) {
-  const BatchReport empty = core::solve_batch({});
+  const BatchReport empty = run_families({});
   EXPECT_TRUE(empty.entries.empty());
   EXPECT_EQ(empty.instances_per_second(), 0.0);
   EXPECT_EQ(empty.rows_table().rows(), 0u);
@@ -228,7 +249,7 @@ TEST(BatchEdgeCaseTest, EmptyBatchAndEmptyFamiliesAreFine) {
   // A family with zero paths solves trivially (0 wavelengths, 0 load).
   const auto g = test::chain(3);
   std::vector<paths::DipathFamily> families(2, paths::DipathFamily(g));
-  const BatchReport report = core::solve_batch(families);
+  const BatchReport report = run_families(families);
   EXPECT_EQ(report.failure_count, 0u);
   for (const auto& e : report.entries) {
     EXPECT_EQ(e.wavelengths, 0u);
@@ -241,8 +262,7 @@ TEST(BatchOptionsTest, RejectsZeroChunk) {
   opts.min_chunk = 0;
   const auto g = test::chain(3);
   std::vector<paths::DipathFamily> families(1, paths::DipathFamily(g));
-  EXPECT_THROW(core::solve_batch(families, SolveOptions{}, opts),
-               wdag::InvalidArgument);
+  EXPECT_THROW(run_families(families, opts), wdag::InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,8 +284,7 @@ TEST(BatchStreamingTest, StreamedCsvMatchesInMemoryCsvAtAnyThreadCount) {
   BatchOptions in_memory;
   in_memory.seed = 4242;
   in_memory.threads = 1;
-  const BatchReport reference = core::solve_generated_batch(
-      97, mixed_instance, SolveOptions{}, in_memory);
+  const BatchReport reference = run_generated(97, in_memory);
   const std::string want = reference.rows_table(false).to_csv();
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -298,13 +317,11 @@ TEST(BatchStreamingTest, DroppedEntriesKeepAggregatesExact) {
   BatchOptions keep;
   keep.seed = 777;
   keep.threads = 2;
-  const BatchReport full = core::solve_generated_batch(
-      64, mixed_instance, SolveOptions{}, keep);
+  const BatchReport full = run_generated(64, keep);
 
   BatchOptions drop = keep;
   drop.keep_entries = false;
-  const BatchReport lean = core::solve_generated_batch(
-      64, mixed_instance, SolveOptions{}, drop);
+  const BatchReport lean = run_generated(64, drop);
 
   EXPECT_TRUE(lean.entries.empty());
   EXPECT_EQ(lean.instance_count, full.instance_count);

@@ -2,14 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dag/classify.hpp"
+#include "dag/internal_cycle.hpp"
+#include "dag/upp.hpp"
 #include "gen/paper_instances.hpp"
 #include "gen/upp_gen.hpp"
+#include "gen/workloads.hpp"
+#include "graph/topo.hpp"
 #include "helpers.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
 using namespace wdag::dag;
+using wdag::graph::ArcId;
+using wdag::graph::Digraph;
 
 TEST(ClassifyTest, Chain) {
   const auto r = classify(wdag::test::chain(5));
@@ -60,6 +70,49 @@ TEST(ClassifyTest, NonDag) {
   EXPECT_FALSE(r.is_dag);
   EXPECT_FALSE(r.wavelengths_equal_load());
   EXPECT_FALSE(r.theorem6_applies());
+}
+
+/// The report's kept passes equal the standalone queries they replace.
+void expect_report_matches_queries(const Digraph& g, const std::string& what) {
+  const DagReport r = classify(g);
+  const auto order = wdag::graph::topological_sort(g);
+  ASSERT_TRUE(order.has_value()) << what;
+  EXPECT_EQ(r.topo_order, *order) << what;
+  std::vector<ArcId> internal;
+  internal_arcs_into(g, internal);
+  EXPECT_EQ(r.internal_arcs, internal) << what;
+  EXPECT_EQ(r.internal_cycles, internal_cycle_count(g)) << what;
+  EXPECT_EQ(r.is_upp, is_upp(g)) << what;
+}
+
+TEST(ClassifyReportTest, KeptPassesMatchTheStandaloneQueries) {
+  wdag::util::Xoshiro256 rng(20261021);
+  for (const char* name :
+       {"random-upp", "random-dag", "no-internal", "fat-chain"}) {
+    for (int i = 0; i < 50; ++i) {
+      const auto inst = wdag::gen::workload_instance(name, {}, rng);
+      expect_report_matches_queries(*inst.graph,
+                                    name + std::string(" #") +
+                                        std::to_string(i));
+    }
+  }
+  for (const char* name : {"havet", "figure3", "c5", "c7"}) {
+    const auto inst = wdag::gen::workload_instance(name, {}, rng);
+    expect_report_matches_queries(*inst.graph, name);
+  }
+  expect_report_matches_queries(*wdag::gen::theorem2_instance(3).graph,
+                                "theorem2");
+  expect_report_matches_queries(
+      *wdag::gen::figure1_pathological(4).graph, "figure1");
+}
+
+TEST(ClassifyReportTest, CyclicDigraphKeepsNoOrder) {
+  const auto r = classify(wdag::test::directed_triangle());
+  EXPECT_FALSE(r.is_dag);
+  EXPECT_TRUE(r.topo_order.empty());
+  EXPECT_TRUE(r.internal_arcs.empty());
+  EXPECT_EQ(r.internal_cycles, 0u);
+  EXPECT_FALSE(r.is_upp);
 }
 
 TEST(ClassifyTest, ReportStringMentionsRegime) {

@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -199,6 +200,31 @@ TEST(CliBinaryTest, EveryFlagAVerbsHelpListsIsTaken) {
       EXPECT_NE(err.find("unknown flag --zz-not-a-flag"), std::string::npos)
           << verb << " " << flag << ": " << err;
     }
+  }
+}
+
+// wdag's own argument checks and the flag parser's are usage errors too:
+// exit 2 and the message alone, never a source file and line.
+TEST(CliBinaryTest, UsageErrorsCarryNoSourceLocation) {
+  if (std::getenv("WDAG_CLI_BIN") == nullptr) {
+    GTEST_SKIP() << "WDAG_CLI_BIN not set";
+  }
+  const std::pair<std::string, std::string> cases[] = {
+      {"shard merge --out -",
+       "wdag: shard merge needs at least one shard output file argument\n"},
+      {"batch --count 4", "wdag: batch requires --gen NAME\n"},
+      {"batch --gen c7 --threads -1",
+       "wdag: --threads must be >= 0 (0 = hardware concurrency), got -1\n"},
+      {"batch --gen c7 --count abc",
+       "wdag: Cli: flag --count expects an integer, got 'abc'\n"},
+      {"solve --gen c7 --force nosuch",
+       "wdag: unknown strategy 'nosuch' (see Engine::strategies())\n"},
+  };
+  for (const auto& [args, want] : cases) {
+    std::string err;
+    EXPECT_EQ(run_wdag(args, nullptr, &err), 2) << args;
+    EXPECT_EQ(err, want) << args;
+    EXPECT_EQ(err.find(".cpp:"), std::string::npos) << args << ": " << err;
   }
 }
 

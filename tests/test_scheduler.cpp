@@ -151,13 +151,24 @@ TEST(SchedulerStragglerTest, ChunkZeroWaitingOnAllOthersFinishes) {
   }
 }
 
+/// A request for a generated mixed-regime batch of `count` instances.
+api::BatchRequest generated_request(std::size_t count,
+                                    const BatchOptions& options) {
+  api::BatchRequest request;
+  request.generate = mixed_instance;
+  request.count = count;
+  request.options = options;
+  return request;
+}
+
 TEST(SchedulerReportTest, ReportsTheCostSizedChunk) {
+  api::EngineOptions engine_options;
+  engine_options.threads = 2;
+  api::Engine engine(engine_options);
   BatchOptions options;
-  options.threads = 2;
   options.min_chunk = 16;
   options.max_chunk = 16;
-  const BatchReport report =
-      core::solve_generated_batch(64, mixed_instance, {}, options);
+  const BatchReport report = engine.run_batch(generated_request(64, options));
   EXPECT_EQ(report.chunk_size, 16u);
   EXPECT_EQ(report.failure_count, 0u);
   EXPECT_NE(report.to_json().find("\"chunk\":16"), std::string::npos);
@@ -167,7 +178,8 @@ TEST(SchedulerOptionsTest, RejectsInvertedChunkBounds) {
   BatchOptions options;
   options.min_chunk = 8;
   options.max_chunk = 4;
-  EXPECT_THROW(core::solve_generated_batch(16, mixed_instance, {}, options),
+  api::Engine engine(api::EngineOptions{});
+  EXPECT_THROW((void)engine.run_batch(generated_request(16, options)),
                wdag::InvalidArgument);
 }
 

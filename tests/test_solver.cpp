@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "conflict/coloring.hpp"
 #include "core/solver.hpp"
 #include "gen/family_gen.hpp"
 #include "gen/paper_instances.hpp"
 #include "gen/random_dag.hpp"
+#include "gen/workloads.hpp"
 #include "helpers.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -72,10 +75,52 @@ TEST(SolverTest, ForcedStrategyIsRespected) {
   }
 }
 
-TEST(SolverTest, ForcedTheorem1StillChecksDomain) {
-  const auto inst = wdag::gen::figure3_instance();
-  EXPECT_THROW(wdag::test::solve_builtin(inst.family, {}, kStrategyTheorem1),
-               wdag::DomainError);
+/// The DomainError text a forced solve of `family` with `id` throws ("" if
+/// it does not throw one).
+std::string forced_domain_error(const DipathFamily& family, StrategyId id) {
+  try {
+    (void)wdag::test::solve_builtin(family, {}, id);
+  } catch (const wdag::DomainError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SolverTest, ForcedStructuralStrategiesStillCheckTheirDomain) {
+  // Figure 3's host has an internal cycle: Theorem 1 does not apply.
+  const auto fig3 = wdag::gen::figure3_instance();
+  EXPECT_NE(forced_domain_error(fig3.family, kStrategyTheorem1)
+                .find("color_equal_load: host graph has an internal cycle"),
+            std::string::npos);
+  // The diamond has two dipaths from its source to its sink: not UPP.
+  const auto g = wdag::test::diamond();
+  DipathFamily fam(g);
+  fam.add_through({0, 1, 3});
+  fam.add_through({0, 2, 3});
+  EXPECT_NE(forced_domain_error(fam, kStrategySplitMerge)
+                .find("color_upp_split_merge: host does not satisfy the "
+                      "unique-dipath property"),
+            std::string::npos);
+}
+
+TEST(SolverTest, ForcingTheDispatchedStrategyGivesTheSameColoring) {
+  wdag::util::Xoshiro256 rng(20261021);
+  std::size_t structural = 0;
+  for (const char* name : {"no-internal", "random-upp", "random-dag"}) {
+    for (int i = 0; i < 40; ++i) {
+      const auto inst = wdag::gen::workload_instance(name, {}, rng);
+      const auto dispatched = wdag::test::solve_builtin(inst.family);
+      const StrategyId id =
+          wdag::api::builtin_registry().dispatch(dispatched.report);
+      if (id == kStrategyTheorem1 || id == kStrategySplitMerge) ++structural;
+      const auto forced = wdag::test::solve_builtin(inst.family, {}, id);
+      EXPECT_EQ(forced.strategy, dispatched.strategy) << name << " " << i;
+      EXPECT_EQ(forced.wavelengths, dispatched.wavelengths) << name << " " << i;
+      EXPECT_EQ(forced.optimal, dispatched.optimal) << name << " " << i;
+      EXPECT_EQ(forced.coloring, dispatched.coloring) << name << " " << i;
+    }
+  }
+  EXPECT_GT(structural, 60u);
 }
 
 TEST(SolverTest, RejectsNonDagHosts) {

@@ -1,11 +1,13 @@
-// Heap-allocation guard for the split-merge recursion and the exact
-// certifier.
+// Heap-allocation guard for the structural classification, the
+// split-merge recursion and the exact certifier.
 //
 // This binary replaces the global operator new/delete with counting
 // versions. After one warm-up solve per instance (which sizes the
 // per-thread arena to the largest instance), a steady-state
-// color_upp_split_merge must allocate no more than a small constant,
-// independent of the instance's size and its number of internal cycles.
+// color_upp_split_merge on a classified host must allocate no more than a
+// small constant, independent of the instance's size and its number of
+// internal cycles. A warm dag::classify allocates only the two vectors
+// its report returns: its Kahn in-degrees and union-find are per-thread.
 // Likewise a warm exact certification allocates only the coloring it
 // returns: its bound searches and k-search run in per-thread buffers.
 // The count is deterministic; no wall clock is involved.
@@ -21,6 +23,7 @@
 #include "conflict/coloring.hpp"
 #include "conflict/exact_color.hpp"
 #include "core/split_merge.hpp"
+#include "dag/classify.hpp"
 #include "gen/family_gen.hpp"
 #include "gen/paper_instances.hpp"
 #include "gen/upp_gen.hpp"
@@ -80,10 +83,18 @@ std::vector<Instance> skeleton_family() {
 }
 
 std::size_t allocations_of_solve(const Instance& inst,
+                                 const wdag::dag::DagReport& report,
                                  wdag::core::SplitMergeResult& out) {
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  out = wdag::core::color_upp_split_merge(inst.family,
-                                          /*preverified=*/true);
+  out = wdag::core::color_upp_split_merge(inst.family, report);
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// Allocations of one dag::classify call on g.
+std::size_t allocations_of_classify(const wdag::graph::Digraph& g,
+                                    wdag::dag::DagReport& out) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  out = wdag::dag::classify(g);
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
@@ -96,18 +107,43 @@ TEST(SplitMergeAllocTest, CounterSeesAllocations) {
 
 TEST(SplitMergeAllocTest, SteadyStateSolveAllocatesAConstant) {
   const auto instances = skeleton_family();
+  std::vector<wdag::dag::DagReport> reports;
+  for (const Instance& inst : instances) {
+    reports.push_back(wdag::dag::classify(*inst.graph));
+  }
   wdag::core::SplitMergeResult res;
   // Warm-up: the arena grows to the largest instance seen.
-  for (const Instance& inst : instances) allocations_of_solve(inst, res);
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    allocations_of_solve(instances[i], reports[i], res);
+  }
 
-  for (const Instance& inst : instances) {
-    const std::size_t n = allocations_of_solve(inst, res);
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const Instance& inst = instances[i];
+    const std::size_t n = allocations_of_solve(inst, reports[i], res);
     ASSERT_GE(res.levels, 2u);
     EXPECT_TRUE(wdag::conflict::is_valid_assignment(inst.family,
                                                     res.coloring));
     EXPECT_LE(n, kMaxSteadyAllocations)
         << "allocations=" << n << " paths=" << inst.family.size() << " levels=" << res.levels
         << " wavelengths=" << res.wavelengths << " load=" << res.load;
+  }
+}
+
+TEST(ClassifyAllocTest, WarmClassifyAllocatesOnlyItsReportVectors) {
+  const auto instances = skeleton_family();
+  wdag::dag::DagReport report;
+  // Warm-up: the per-thread Kahn, union-find and UPP buffers grow to the
+  // largest host seen.
+  for (const Instance& inst : instances) {
+    allocations_of_classify(*inst.graph, report);
+  }
+  for (const Instance& inst : instances) {
+    const std::size_t n = allocations_of_classify(*inst.graph, report);
+    ASSERT_TRUE(report.is_upp);
+    EXPECT_FALSE(report.topo_order.empty());
+    EXPECT_FALSE(report.internal_arcs.empty());
+    // topo_order and internal_arcs, one allocation each.
+    EXPECT_LE(n, 2u) << "vertices=" << report.num_vertices;
   }
 }
 

@@ -88,6 +88,14 @@ TEST(SplitMergeGoldenTest, RandomUppColoringsArePinned) {
   EXPECT_EQ(hex(d.h), "0xbcc55cbed25045d9");
 }
 
+TEST(SplitMergeGoldenTest, NoInternalColoringsArePinned) {
+  // Hosts without internal cycles: every solve is a Theorem 1 replay, so
+  // this pins the removal order the replay derives from the Kahn order.
+  Digest d;
+  d.draws("no-internal", WorkloadParams{}, 20261021, 5'000);
+  EXPECT_EQ(hex(d.h), "0xa6d72a4f41fb60e8");
+}
+
 TEST(SplitMergeGoldenTest, PaperInstanceColoringsArePinned) {
   Digest d;
   for (const char* name : {"havet", "figure3", "c5", "c7"}) {
