@@ -86,11 +86,15 @@ echo "remote_drive_smoke: worker1 pid $W1_PID port $P1, worker2 pid $W2_PID port
 ( sleep 1.0; kill -9 "$W2_PID" 2>/dev/null || true ) &
 KILLER_PID=$!
 
+# Both workers go unhealthy at ~0.6s and worker2's stalled shard then
+# runs locally; worker1's recovering ping (one probe interval after its
+# miss) must land before that shard finishes, so the interval is kept
+# well below one shard's runtime.
 "$WDAG" drive --gen random-upp --count "$COUNT" --seed "$SEED" \
   --shards "$SHARDS" --threads 1 \
   --workers "127.0.0.1:$P1,127.0.0.1:$P2" \
   --max-retries 6 --backoff 0.05 \
-  --connect-timeout-ms 1000 --probe-interval 0.1 \
+  --connect-timeout-ms 1000 --probe-interval 0.01 \
   --probe-timeout-ms 600 --probe-miss-budget 1 \
   --work-dir "$TMP/scratch" \
   --events "$TMP/events.jsonl" \

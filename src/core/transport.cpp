@@ -1,5 +1,6 @@
 #include "core/transport.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -392,14 +393,21 @@ void TcpTransport::probe_loop() {
                        ") exhausted; out of rotation");
       }
     }
-    // Sleep the interval in short ticks so destruction stays prompt.
+    // Sleep the interval in short ticks so destruction stays prompt; the
+    // last tick is cut to the deadline, so an interval shorter than a
+    // tick is not rounded up to one.
     const auto interval =
         std::chrono::duration<double>(config_.probe_interval_seconds);
-    const auto deadline = std::chrono::steady_clock::now() + interval;
-    while (!stop_.load(std::memory_order_relaxed) &&
-           std::chrono::steady_clock::now() < deadline) {
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            interval);
+    for (auto now = std::chrono::steady_clock::now();
+         !stop_.load(std::memory_order_relaxed) && now < deadline;
+         now = std::chrono::steady_clock::now()) {
       std::this_thread::sleep_for(
-          std::chrono::milliseconds(kProbeSleepTickMs));
+          std::min<std::chrono::steady_clock::duration>(
+              deadline - now, std::chrono::milliseconds(kProbeSleepTickMs)));
     }
   }
 }
