@@ -26,19 +26,6 @@ void require_known_workload(const std::string& name) {
   }
 }
 
-/// The id of a forced strategy name (nullopt when none is forced);
-/// rejects an unknown name like an unknown workload.
-std::optional<StrategyId> forced_strategy(
-    const StrategyRegistry& registry, const std::optional<std::string>& name) {
-  if (!name.has_value()) return std::nullopt;
-  const std::optional<StrategyId> id = registry.find(*name);
-  if (!id.has_value()) {
-    throw InvalidArgument("unknown strategy '" + *name +
-                          "' (see Engine::strategies())");
-  }
-  return id;
-}
-
 }  // namespace
 
 Engine::Engine(EngineOptions options)
@@ -63,8 +50,13 @@ SolveResponse Engine::submit(const SolveRequest& request) {
                "SolveRequest: set exactly one of family/generator/file");
   const core::SolveOptions& options =
       request.options.has_value() ? *request.options : options_.solve;
-  const std::optional<StrategyId> force =
-      forced_strategy(registry_, request.force_strategy);
+  std::optional<StrategyId> force;
+  if (request.force_strategy.has_value()) {
+    force = registry_.find(*request.force_strategy);
+    WDAG_REQUIRE(force.has_value(), "unknown strategy '" +
+                                        *request.force_strategy +
+                                        "' (see Engine::strategies())");
+  }
 
   if (request.family != nullptr) {
     return solve_with(registry_, *request.family, options, force);
@@ -94,8 +86,13 @@ core::BatchReport Engine::run_batch(const BatchRequest& request) {
                "BatchRequest: set only one of families/generator/generate");
   const core::SolveOptions base =
       request.solve.has_value() ? *request.solve : options_.solve;
-  const std::optional<StrategyId> force =
-      forced_strategy(registry_, request.force_strategy);
+  std::optional<StrategyId> force;
+  if (request.force_strategy.has_value()) {
+    force = registry_.find(*request.force_strategy);
+    WDAG_REQUIRE(force.has_value(), "unknown strategy '" +
+                                        *request.force_strategy +
+                                        "' (see Engine::strategies())");
+  }
   const bool keep_coloring = request.options.keep_colorings;
 
   std::size_t count;

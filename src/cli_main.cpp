@@ -251,7 +251,7 @@ constexpr HelpEntry kHelp[] = {
      "  --connect-timeout-ms MS   dial timeout of every remote attempt\n"
      "                 (default 1000)\n"
      "  --probe-interval SEC   seconds between health pings of each\n"
-     "                 remote worker (default 2)\n"
+     "                 remote worker (default 2, at least 0.001)\n"
      "  --probe-timeout-ms MS   per-ping timeout (default 500)\n"
      "  --probe-miss-budget N   consecutive missed pings before a\n"
      "                 remote worker leaves rotation; its in-flight\n"
@@ -428,9 +428,9 @@ struct CommonArgs {
 /// into an absurd worker count.
 std::size_t thread_count(const Cli& cli) {
   const std::int64_t threads = cli.get_int("threads", 0);
-  WDAG_USAGE(threads >= 0,
-             "--threads must be >= 0 (0 = hardware concurrency), got " +
-                 std::to_string(threads));
+  WDAG_REQUIRE(threads >= 0,
+               "--threads must be >= 0 (0 = hardware concurrency), got " +
+                   std::to_string(threads));
   return static_cast<std::size_t>(threads);
 }
 
@@ -463,8 +463,8 @@ CommonArgs read_common_args(const Cli& cli, std::size_t default_count) {
   a.batch.threads = thread_count(cli);
   const std::int64_t min_chunk = cli.get_int("min-chunk", 1);
   const std::int64_t max_chunk = cli.get_int("max-chunk", 256);
-  WDAG_USAGE(min_chunk >= 1 && max_chunk >= min_chunk,
-             "--min-chunk/--max-chunk need 1 <= min <= max");
+  WDAG_REQUIRE(min_chunk >= 1 && max_chunk >= min_chunk,
+               "--min-chunk/--max-chunk need 1 <= min <= max");
   a.batch.min_chunk = static_cast<std::size_t>(min_chunk);
   a.batch.max_chunk = static_cast<std::size_t>(max_chunk);
   a.batch.seed = a.gen.seed;
@@ -473,9 +473,9 @@ CommonArgs read_common_args(const Cli& cli, std::size_t default_count) {
     // Streaming exists for constant-memory sweeps; holding every coloring
     // contradicts it, so reject the combination instead of silently
     // preferring one flag.
-    WDAG_USAGE(!a.batch.keep_colorings,
-               "--stream-csv and --keep-colorings conflict: streaming "
-               "runs at constant memory, keeping colorings does not");
+    WDAG_REQUIRE(!a.batch.keep_colorings,
+                 "--stream-csv and --keep-colorings conflict: streaming "
+                 "runs at constant memory, keeping colorings does not");
     a.stream_csv = cli.get("stream-csv", "-");
     // Do not also hold the per-instance entries unless another flag
     // needs them.
@@ -494,7 +494,7 @@ void write_output(const std::string& path, const std::string& text) {
     return;
   }
   std::ofstream out(path);
-  WDAG_USAGE(out.good(), "cannot open output file '" + path + "'");
+  WDAG_REQUIRE(out.good(), "cannot open output file '" + path + "'");
   out << text;
 }
 
@@ -518,7 +518,7 @@ int cmd_solve(const Cli& cli) {
   if (cli.has("file")) {
     const std::string path = cli.get("file", "");
     std::ifstream in(path);
-    WDAG_USAGE(in.good(), "cannot open instance file '" + path + "'");
+    WDAG_REQUIRE(in.good(), "cannot open instance file '" + path + "'");
     std::ostringstream buf;
     buf << in.rdbuf();
     auto parsed = wdag::paths::parse_instance_text(buf.str());
@@ -565,7 +565,7 @@ int cmd_solve(const Cli& cli) {
 
 int cmd_batch(const Cli& cli) {
   const CommonArgs args = read_common_args(cli, 100);
-  WDAG_USAGE(!args.gen.family.empty(), "batch requires --gen NAME");
+  WDAG_REQUIRE(!args.gen.family.empty(), "batch requires --gen NAME");
   wdag::Engine engine = make_engine(args, args.batch.threads);
 
   wdag::BatchRequest request;
@@ -582,8 +582,8 @@ int cmd_batch(const Cli& cli) {
     std::ostream* stream_out = &std::cout;
     if (args.stream_csv != "-") {
       stream_file.open(args.stream_csv);
-      WDAG_USAGE(stream_file.good(),
-                 "cannot open output file '" + args.stream_csv + "'");
+      WDAG_REQUIRE(stream_file.good(),
+                   "cannot open output file '" + args.stream_csv + "'");
       stream_out = &stream_file;
     }
     stream_sink.emplace(*stream_out);
@@ -617,13 +617,13 @@ int cmd_batch(const Cli& cli) {
 
 int cmd_sweep(const Cli& cli) {
   CommonArgs args = read_common_args(cli, 64);
-  WDAG_USAGE(!args.gen.family.empty(), "sweep requires --gen NAME");
+  WDAG_REQUIRE(!args.gen.family.empty(), "sweep requires --gen NAME");
   const std::string param = cli.get("param", "paths");
   const double from = cli.get_double("from", 8);
   const double to = cli.get_double("to", 64);
   const double step = cli.get_double("step", param == "density" ? 0.1 : 8);
-  WDAG_USAGE(step > 0, "sweep --step must be positive");
-  WDAG_USAGE(from <= to, "sweep needs --from <= --to");
+  WDAG_REQUIRE(step > 0, "sweep --step must be positive");
+  WDAG_REQUIRE(from <= to, "sweep needs --from <= --to");
 
   // One engine for the whole sweep: the pool and per-worker arenas
   // persist across points.
@@ -708,11 +708,11 @@ wdag::BatchRequest request_from_manifest(const wdag::ShardManifest& m,
 
 int cmd_shard_plan(const Cli& cli) {
   const CommonArgs args = read_common_args(cli, 100);
-  WDAG_USAGE(!args.gen.family.empty(), "shard plan requires --gen NAME");
+  WDAG_REQUIRE(!args.gen.family.empty(), "shard plan requires --gen NAME");
   const std::int64_t shards = cli.get_int("shards", 0);
-  WDAG_USAGE(shards >= 1, "shard plan requires --shards K (K >= 1)");
+  WDAG_REQUIRE(shards >= 1, "shard plan requires --shards K (K >= 1)");
   const std::string prefix = cli.get("out", "");
-  WDAG_USAGE(!prefix.empty(), "shard plan requires --out PREFIX");
+  WDAG_REQUIRE(!prefix.empty(), "shard plan requires --out PREFIX");
   const wdag::core::ShardLayout layout =
       wdag::core::parse_layout(cli.get("layout", "contiguous"));
 
@@ -740,13 +740,13 @@ int cmd_shard_run(const Cli& cli) {
   // affects bytes: the workload and solver flags are not in shard run's
   // help, so main() refuses them as unknown.
   const std::string manifest_path = cli.get("manifest", "");
-  WDAG_USAGE(!manifest_path.empty(), "shard run requires --manifest FILE");
+  WDAG_REQUIRE(!manifest_path.empty(), "shard run requires --manifest FILE");
   const std::string out_path = cli.get("out", "");
-  WDAG_USAGE(!out_path.empty(), "shard run requires --out PATH ('-' = stdout)");
+  WDAG_REQUIRE(!out_path.empty(), "shard run requires --out PATH ('-' = stdout)");
 
   std::ifstream in(manifest_path);
-  WDAG_USAGE(in.good(),
-             "cannot open shard manifest '" + manifest_path + "'");
+  WDAG_REQUIRE(in.good(),
+               "cannot open shard manifest '" + manifest_path + "'");
   std::ostringstream buf;
   buf << in.rdbuf();
   const wdag::ShardManifest manifest = wdag::core::parse_manifest(buf.str());
@@ -776,7 +776,7 @@ int cmd_shard_run(const Cli& cli) {
   std::ostream* out = &std::cout;
   if (out_path != "-") {
     file.open(out_path);
-    WDAG_USAGE(file.good(), "cannot open output file '" + out_path + "'");
+    WDAG_REQUIRE(file.good(), "cannot open output file '" + out_path + "'");
     out = &file;
   }
   *out << wdag::core::shard_csv_header(manifest);
@@ -797,8 +797,8 @@ int cmd_shard_run(const Cli& cli) {
     std::ostream* json_out = &std::cout;
     if (json_path != "-") {
       json_file.open(json_path);
-      WDAG_USAGE(json_file.good(),
-                 "cannot open output file '" + json_path + "'");
+      WDAG_REQUIRE(json_file.good(),
+                   "cannot open output file '" + json_path + "'");
       json_out = &json_file;
     }
     // The shard header here is the bare manifest object — NOT the CSV's
@@ -828,8 +828,8 @@ int cmd_shard_merge(const Cli& cli) {
   const std::string out_path = cli.get("out", "-");
   // positional: ["shard", "merge", file...]
   const std::vector<std::string>& pos = cli.positional();
-  WDAG_USAGE(pos.size() > 2,
-             "shard merge needs at least one shard output file argument");
+  WDAG_REQUIRE(pos.size() > 2,
+               "shard merge needs at least one shard output file argument");
 
   // A shard CSV opens with the '# wdag-shard' comment; a shard JSON-lines
   // file (shard run --json) opens with the bare manifest object. Peek the
@@ -838,7 +838,7 @@ int cmd_shard_merge(const Cli& cli) {
   char first = '\0';
   {
     std::ifstream probe(pos[2]);
-    WDAG_USAGE(probe.good(), "cannot open shard output '" + pos[2] + "'");
+    WDAG_REQUIRE(probe.good(), "cannot open shard output '" + pos[2] + "'");
     probe.get(first);
   }
 
@@ -848,7 +848,7 @@ int cmd_shard_merge(const Cli& cli) {
     shards.reserve(pos.size() - 2);
     for (std::size_t i = 2; i < pos.size(); ++i) {
       std::ifstream in(pos[i]);
-      WDAG_USAGE(in.good(), "cannot open shard output '" + pos[i] + "'");
+      WDAG_REQUIRE(in.good(), "cannot open shard output '" + pos[i] + "'");
       shards.push_back(wdag::core::read_shard_json(in, pos[i]));
     }
     merged = wdag::core::merge_shard_json(shards);
@@ -870,9 +870,9 @@ int cmd_shard_merge(const Cli& cli) {
 
 int cmd_drive(const Cli& cli) {
   const CommonArgs args = read_common_args(cli, 100);
-  WDAG_USAGE(!args.gen.family.empty(), "drive requires --gen NAME");
+  WDAG_REQUIRE(!args.gen.family.empty(), "drive requires --gen NAME");
   const std::int64_t shards = cli.get_int("shards", 0);
-  WDAG_USAGE(shards >= 1, "drive requires --shards K (K >= 1)");
+  WDAG_REQUIRE(shards >= 1, "drive requires --shards K (K >= 1)");
   const wdag::core::ShardLayout layout =
       wdag::core::parse_layout(cli.get("layout", "contiguous"));
   const wdag::ShardPlan plan(spec_from_args(args),
@@ -898,13 +898,13 @@ int cmd_drive(const Cli& cli) {
           (void)wdag::core::TcpTransport::parse_endpoint(token);
           options.remote_workers.push_back(token);
         } else {
-          WDAG_USAGE(
+          WDAG_REQUIRE(
               token.find_first_not_of("0123456789") == std::string::npos,
               "--workers: '" + token +
                   "' is neither a slot count nor a HOST:PORT endpoint");
-          WDAG_USAGE(!saw_local,
-                     "--workers: more than one local slot count in '" +
-                         spec + "'");
+          WDAG_REQUIRE(!saw_local,
+                       "--workers: more than one local slot count in '" +
+                           spec + "'");
           saw_local = true;
           options.workers = static_cast<std::size_t>(
               std::strtoull(token.c_str(), nullptr, 10));
@@ -915,43 +915,44 @@ int cmd_drive(const Cli& cli) {
     }
   }
   const std::int64_t connect_timeout = cli.get_int("connect-timeout-ms", 1000);
-  WDAG_USAGE(connect_timeout >= 1, "--connect-timeout-ms must be >= 1");
+  WDAG_REQUIRE(connect_timeout >= 1, "--connect-timeout-ms must be >= 1");
   options.connect_timeout_ms = static_cast<int>(connect_timeout);
   options.probe_interval_seconds = cli.get_double("probe-interval", 2.0);
-  WDAG_USAGE(options.probe_interval_seconds > 0.0,
-             "--probe-interval must be > 0 seconds");
+  WDAG_REQUIRE(options.probe_interval_seconds >=
+                   wdag::core::TcpTransport::kMinProbeIntervalSeconds,
+               "--probe-interval must be >= 0.001 seconds");
   const std::int64_t probe_timeout = cli.get_int("probe-timeout-ms", 500);
-  WDAG_USAGE(probe_timeout >= 1, "--probe-timeout-ms must be >= 1");
+  WDAG_REQUIRE(probe_timeout >= 1, "--probe-timeout-ms must be >= 1");
   options.probe_timeout_ms = static_cast<int>(probe_timeout);
   const std::int64_t miss_budget = cli.get_int("probe-miss-budget", 3);
-  WDAG_USAGE(miss_budget >= 1, "--probe-miss-budget must be >= 1");
+  WDAG_REQUIRE(miss_budget >= 1, "--probe-miss-budget must be >= 1");
   options.probe_miss_budget = static_cast<std::size_t>(miss_budget);
   const std::int64_t retries = cli.get_int("max-retries", 2);
-  WDAG_USAGE(retries >= 0, "--max-retries must be >= 0, got " +
-                               std::to_string(retries));
+  WDAG_REQUIRE(retries >= 0, "--max-retries must be >= 0, got " +
+                                 std::to_string(retries));
   options.max_retries = static_cast<std::size_t>(retries);
   // Numeric schedule knobs are rejected HERE, at parse time, with a
   // usage error — a negative timeout/backoff/speculate would otherwise
   // surface as an internal drive failure long after parsing.
   options.timeout_seconds = cli.get_double("timeout", 0.0);
-  WDAG_USAGE(options.timeout_seconds >= 0.0,
-             "--timeout must be >= 0 seconds (0 = off)");
+  WDAG_REQUIRE(options.timeout_seconds >= 0.0,
+               "--timeout must be >= 0 seconds (0 = off)");
   options.backoff_seconds = cli.get_double("backoff", 0.25);
-  WDAG_USAGE(options.backoff_seconds >= 0.0,
-             "--backoff must be >= 0 seconds");
+  WDAG_REQUIRE(options.backoff_seconds >= 0.0,
+               "--backoff must be >= 0 seconds");
   options.speculate_factor = cli.get_double("speculate", 0.0);
-  WDAG_USAGE(options.speculate_factor >= 0.0,
-             "--speculate must be >= 0 (0 = off)");
+  WDAG_REQUIRE(options.speculate_factor >= 0.0,
+               "--speculate must be >= 0 (0 = off)");
   const std::int64_t fail_fast = cli.get_int("fail-fast", 8);
-  WDAG_USAGE(fail_fast >= 0, "--fail-fast must be >= 0 (0 = off), got " +
-                                 std::to_string(fail_fast));
+  WDAG_REQUIRE(fail_fast >= 0, "--fail-fast must be >= 0 (0 = off), got " +
+                                   std::to_string(fail_fast));
   options.fail_fast = static_cast<std::size_t>(fail_fast);
   options.resume = cli.has("resume");
   options.worker_threads = args.batch.threads;
   options.keep_outputs = cli.has("keep-work");
 
   options.work_dir = cli.get("work-dir", "");
-  WDAG_USAGE(!options.work_dir.empty(), "drive requires --work-dir DIR");
+  WDAG_REQUIRE(!options.work_dir.empty(), "drive requires --work-dir DIR");
   std::filesystem::create_directories(options.work_dir);
 
   options.wdag_binary = cli.get("wdag-bin", "");
@@ -976,8 +977,8 @@ int cmd_drive(const Cli& cli) {
       // crashed run's, and the per-line flush below means the tail
       // survives a crash — exactly when the log matters.
       events_file.open(events_path, std::ios::app);
-      WDAG_USAGE(events_file.good(),
-                 "cannot open events file '" + events_path + "'");
+      WDAG_REQUIRE(events_file.good(),
+                   "cannot open events file '" + events_path + "'");
       events_out = &events_file;
     }
   }
@@ -994,7 +995,7 @@ int cmd_drive(const Cli& cli) {
   std::ostream* out = &std::cout;
   if (out_path != "-") {
     file.open(out_path);
-    WDAG_USAGE(file.good(), "cannot open output file '" + out_path + "'");
+    WDAG_REQUIRE(file.good(), "cannot open output file '" + out_path + "'");
     out = &file;
   }
 
@@ -1040,9 +1041,9 @@ std::function<bool()> server_stop_hook() {
 /// --port of a server command (0 = ephemeral).
 std::uint16_t listen_port(const Cli& cli) {
   const std::int64_t port = cli.get_int("port", 0);
-  WDAG_USAGE(port >= 0 && port <= 65535,
-             "--port must be in [0, 65535] (0 = ephemeral), got " +
-                 std::to_string(port));
+  WDAG_REQUIRE(port >= 0 && port <= 65535,
+               "--port must be in [0, 65535] (0 = ephemeral), got " +
+                   std::to_string(port));
   return static_cast<std::uint16_t>(port);
 }
 
@@ -1051,7 +1052,7 @@ std::uint16_t listen_port(const Cli& cli) {
 void write_port_file(const Cli& cli, std::uint16_t port) {
   if (!cli.has("port-file")) return;
   const std::string path = cli.get("port-file", "");
-  WDAG_USAGE(!path.empty(), "--port-file requires a path");
+  WDAG_REQUIRE(!path.empty(), "--port-file requires a path");
   const std::string tmp = path + ".tmp";
   write_output(tmp, std::to_string(port) + "\n");
   std::filesystem::rename(tmp, path);
@@ -1063,8 +1064,8 @@ int cmd_worker(const Cli& cli) {
   options.port = listen_port(cli);
   options.engine_threads = thread_count(cli);
   options.idle_timeout_ms = cli.get_double("idle-timeout-ms", 0.0);
-  WDAG_USAGE(options.idle_timeout_ms >= 0.0,
-             "--idle-timeout-ms must be >= 0 (0 = never)");
+  WDAG_REQUIRE(options.idle_timeout_ms >= 0.0,
+               "--idle-timeout-ms must be >= 0 (0 = never)");
   options.hooks = wdag::remote::ShardWorkerHooks::from_env();
   options.external_stop = server_stop_hook();
 
@@ -1085,21 +1086,21 @@ int cmd_serve(const Cli& cli) {
   options.host = cli.get("host", "127.0.0.1");
   options.port = listen_port(cli);
   const std::int64_t queue = cli.get_int("queue", 64);
-  WDAG_USAGE(queue >= 1, "--queue must be >= 1, got " +
-                             std::to_string(queue));
+  WDAG_REQUIRE(queue >= 1, "--queue must be >= 1, got " +
+                               std::to_string(queue));
   options.queue_capacity = static_cast<std::size_t>(queue);
   options.default_deadline_ms = cli.get_double("deadline-ms", 0.0);
-  WDAG_USAGE(options.default_deadline_ms >= 0.0,
-             "--deadline-ms must be >= 0 (0 = none)");
+  WDAG_REQUIRE(options.default_deadline_ms >= 0.0,
+               "--deadline-ms must be >= 0 (0 = none)");
   options.engine_threads = thread_count(cli);
   const std::int64_t max_connections = cli.get_int("max-connections", 0);
-  WDAG_USAGE(max_connections >= 0,
-             "--max-connections must be >= 0 (0 = unlimited), got " +
-                 std::to_string(max_connections));
+  WDAG_REQUIRE(max_connections >= 0,
+               "--max-connections must be >= 0 (0 = unlimited), got " +
+                   std::to_string(max_connections));
   options.max_connections = static_cast<std::size_t>(max_connections);
   options.idle_timeout_ms = cli.get_double("idle-timeout-ms", 0.0);
-  WDAG_USAGE(options.idle_timeout_ms >= 0.0,
-             "--idle-timeout-ms must be >= 0 (0 = never)");
+  WDAG_REQUIRE(options.idle_timeout_ms >= 0.0,
+               "--idle-timeout-ms must be >= 0 (0 = never)");
   options.solve.exact_threshold =
       static_cast<std::size_t>(cli.get_int("exact-threshold", 48));
   options.solve.exact_node_budget =
@@ -1129,21 +1130,21 @@ int cmd_serve(const Cli& cli) {
 int cmd_request(const Cli& cli) {
   const std::string host = cli.get("host", "127.0.0.1");
   const std::int64_t port = cli.get_int("port", 0);
-  WDAG_USAGE(port >= 1 && port <= 65535,
-             "request requires --port P (1..65535)");
+  WDAG_REQUIRE(port >= 1 && port <= 65535,
+               "request requires --port P (1..65535)");
   const std::int64_t timeout_ms = cli.get_int("timeout-ms", 30'000);
-  WDAG_USAGE(timeout_ms >= 1, "--timeout-ms must be >= 1, got " +
-                                  std::to_string(timeout_ms));
+  WDAG_REQUIRE(timeout_ms >= 1, "--timeout-ms must be >= 1, got " +
+                                    std::to_string(timeout_ms));
 
   std::string line;
   if (cli.has("req-file")) {
     const std::string path = cli.get("req-file", "");
     std::ifstream in(path);
-    WDAG_USAGE(in.good(), "cannot open request file '" + path + "'");
+    WDAG_REQUIRE(in.good(), "cannot open request file '" + path + "'");
     while (std::getline(in, line) && line.empty()) {
     }
-    WDAG_USAGE(!line.empty(),
-               "request file '" + path + "' has no request line");
+    WDAG_REQUIRE(!line.empty(),
+                 "request file '" + path + "' has no request line");
     // Parse locally first so a malformed file fails here with a usage
     // error, not as a served 'error' response.
     (void)wdag::serve::parse_request(line);
@@ -1158,13 +1159,13 @@ int cmd_request(const Cli& cli) {
                                      type + "'");
     request.id = cli.get("id", "");
     request.deadline_ms = cli.get_double("deadline-ms", 0.0);
-    WDAG_USAGE(request.deadline_ms >= 0.0,
-               "--deadline-ms must be >= 0 (0 = none)");
+    WDAG_REQUIRE(request.deadline_ms >= 0.0,
+                 "--deadline-ms must be >= 0 (0 = none)");
     if (request.kind == wdag::serve::RequestKind::kSolve ||
         request.kind == wdag::serve::RequestKind::kBatch) {
       const CommonArgs args = read_common_args(cli, 100);
-      WDAG_USAGE(!args.gen.family.empty(),
-                 "request --type " + type + " requires --gen NAME");
+      WDAG_REQUIRE(!args.gen.family.empty(),
+                   "request --type " + type + " requires --gen NAME");
       request.gen = args.gen;
       request.count = args.count;
       request.force = args.force;

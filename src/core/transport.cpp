@@ -315,8 +315,8 @@ TcpTransport::TcpTransport(const std::string& endpoint, Config config)
                "TcpTransport: connect_timeout_ms must be > 0");
   WDAG_REQUIRE(config_.probe_timeout_ms > 0,
                "TcpTransport: probe_timeout_ms must be > 0");
-  WDAG_REQUIRE(config_.probe_interval_seconds > 0.0,
-               "TcpTransport: probe_interval_seconds must be > 0");
+  WDAG_REQUIRE(config_.probe_interval_seconds >= kMinProbeIntervalSeconds,
+               "TcpTransport: probe_interval_seconds must be >= 0.001");
   WDAG_REQUIRE(config_.probe_miss_budget >= 1,
                "TcpTransport: probe_miss_budget must be >= 1");
   prober_ = std::thread([this] { probe_loop(); });

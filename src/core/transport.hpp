@@ -186,9 +186,13 @@ class LocalTransport final : public WorkerTransport {
 /// prober that maintains its health state.
 class TcpTransport final : public WorkerTransport {
  public:
+  /// Shortest accepted probe interval. The prober honours any interval at
+  /// or above it exactly, so this floor is what bounds its dial rate.
+  static constexpr double kMinProbeIntervalSeconds = 0.001;
+
   struct Config {
     int connect_timeout_ms = 1000;
-    double probe_interval_seconds = 2.0;
+    double probe_interval_seconds = 2.0;  // >= kMinProbeIntervalSeconds
     int probe_timeout_ms = 500;
     std::size_t probe_miss_budget = 3;
   };

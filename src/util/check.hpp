@@ -45,18 +45,10 @@ template <class Err>
 
 }  // namespace wdag
 
-/// Precondition check: throws wdag::InvalidArgument when `cond` is false.
+/// Precondition check: throws wdag::InvalidArgument carrying `msg` alone.
+/// A precondition error is the caller's fault (often a user's input, via the
+/// CLI or the serve protocol); the message names its function, not a file.
 #define WDAG_REQUIRE(cond, msg)                                              \
-  do {                                                                       \
-    if (!(cond))                                                             \
-      ::wdag::detail::fail<::wdag::InvalidArgument>(__FILE__, __LINE__,      \
-                                                    std::string(msg));       \
-  } while (0)
-
-/// User-input check (command-line flags and arguments): throws
-/// wdag::InvalidArgument carrying `msg` alone. WDAG_REQUIRE's source
-/// location serves library callers; a user at a shell gets nothing from it.
-#define WDAG_USAGE(cond, msg)                                                \
   do {                                                                       \
     if (!(cond)) throw ::wdag::InvalidArgument(std::string(msg));            \
   } while (0)

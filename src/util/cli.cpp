@@ -18,15 +18,15 @@ Cli::Cli(int argc, const char* const* argv) {
       continue;
     }
     arg.erase(0, 2);
-    WDAG_USAGE(!arg.empty(), "Cli: bare '--' is not a valid flag");
+    WDAG_REQUIRE(!arg.empty(), "Cli: bare '--' is not a valid flag");
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
       std::string value = arg.substr(eq + 1);
       // `--a=--b` is a flag swallowed as a value, never a real value:
       // no flag in this tool takes a `--`-prefixed string.
-      WDAG_USAGE(value.rfind("--", 0) != 0,
-                 "Cli: flag --" + arg.substr(0, eq) + " swallowed flag '" +
-                     value + "' as its value");
+      WDAG_REQUIRE(value.rfind("--", 0) != 0,
+                   "Cli: flag --" + arg.substr(0, eq) + " swallowed flag '" +
+                       value + "' as its value");
       flags_[arg.substr(0, eq)] = std::move(value);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags_[arg] = argv[++i];
@@ -49,12 +49,12 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const 
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  WDAG_USAGE(end && *end == '\0' && !it->second.empty(),
-             "Cli: flag --" + name + " expects an integer, got '" +
-                 it->second + "'");
-  WDAG_USAGE(errno != ERANGE,
-             "Cli: flag --" + name + " is out of range: '" + it->second +
-                 "' does not fit a 64-bit integer");
+  WDAG_REQUIRE(end && *end == '\0' && !it->second.empty(),
+               "Cli: flag --" + name + " expects an integer, got '" +
+                   it->second + "'");
+  WDAG_REQUIRE(errno != ERANGE,
+               "Cli: flag --" + name + " is out of range: '" + it->second +
+                   "' does not fit a 64-bit integer");
   return v;
 }
 
@@ -64,12 +64,12 @@ double Cli::get_double(const std::string& name, double fallback) const {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(it->second.c_str(), &end);
-  WDAG_USAGE(end && *end == '\0' && !it->second.empty(),
-             "Cli: flag --" + name + " expects a number, got '" +
-                 it->second + "'");
-  WDAG_USAGE(errno != ERANGE && std::isfinite(v),
-             "Cli: flag --" + name + " expects a finite number, got '" +
-                 it->second + "'");
+  WDAG_REQUIRE(end && *end == '\0' && !it->second.empty(),
+               "Cli: flag --" + name + " expects a number, got '" +
+                   it->second + "'");
+  WDAG_REQUIRE(errno != ERANGE && std::isfinite(v),
+               "Cli: flag --" + name + " expects a finite number, got '" +
+                   it->second + "'");
   return v;
 }
 

@@ -203,12 +203,15 @@ TEST(CliBinaryTest, EveryFlagAVerbsHelpListsIsTaken) {
   }
 }
 
-// wdag's own argument checks and the flag parser's are usage errors too:
-// exit 2 and the message alone, never a source file and line.
+// Precondition errors -- wdag's own argument checks, the flag parser's and
+// the instance-file parser's -- are usage errors: exit 2 and the message
+// alone, never a source file and line.
 TEST(CliBinaryTest, UsageErrorsCarryNoSourceLocation) {
   if (std::getenv("WDAG_CLI_BIN") == nullptr) {
     GTEST_SKIP() << "WDAG_CLI_BIN not set";
   }
+  const std::string bad_file = testing::TempDir() + "/wdag_cli_bad.txt";
+  std::ofstream(bad_file) << "garbage\n";
   const std::pair<std::string, std::string> cases[] = {
       {"shard merge --out -",
        "wdag: shard merge needs at least one shard output file argument\n"},
@@ -219,6 +222,10 @@ TEST(CliBinaryTest, UsageErrorsCarryNoSourceLocation) {
        "wdag: Cli: flag --count expects an integer, got 'abc'\n"},
       {"solve --gen c7 --force nosuch",
        "wdag: unknown strategy 'nosuch' (see Engine::strategies())\n"},
+      {"solve --file '" + bad_file + "'",
+       "wdag: parse_instance_text: line 1: unknown keyword 'garbage'\n"},
+      {"drive --gen c7 --shards 2 --probe-interval 0.0001",
+       "wdag: --probe-interval must be >= 0.001 seconds\n"},
   };
   for (const auto& [args, want] : cases) {
     std::string err;
