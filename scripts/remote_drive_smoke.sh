@@ -87,9 +87,10 @@ echo "remote_drive_smoke: worker1 pid $W1_PID port $P1, worker2 pid $W2_PID port
 KILLER_PID=$!
 
 # Both workers go unhealthy at ~0.6s and worker2's stalled shard then
-# runs locally; worker1's recovering ping (one probe interval after its
-# miss) must land before that shard finishes, so the interval is kept
-# well below one shard's runtime.
+# runs locally. worker1's recovering ping comes one probe interval after
+# its miss; a worker still out of rotation when the last shard lands gets
+# one more probe before `done`, so `recovered` is logged whichever comes
+# first.
 "$WDAG" drive --gen random-upp --count "$COUNT" --seed "$SEED" \
   --shards "$SHARDS" --threads 1 \
   --workers "127.0.0.1:$P1,127.0.0.1:$P2" \

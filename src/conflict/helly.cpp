@@ -13,14 +13,14 @@ using paths::PathId;
 
 std::optional<Dipath> conflict_interval(const DipathFamily& family, PathId p,
                                         PathId q) {
-  const Dipath& P = family.path(p);
-  const Dipath& Q = family.path(q);
-  const std::set<graph::ArcId> qset(Q.arcs.begin(), Q.arcs.end());
+  const auto P = family.path(p);
+  const auto Q = family.path(q);
+  const std::set<graph::ArcId> qset(Q.begin(), Q.end());
 
   // Positions of shared arcs along P.
   std::vector<std::size_t> pos;
-  for (std::size_t i = 0; i < P.arcs.size(); ++i) {
-    if (qset.count(P.arcs[i])) pos.push_back(i);
+  for (std::size_t i = 0; i < P.size(); ++i) {
+    if (qset.count(P[i])) pos.push_back(i);
   }
   if (pos.empty()) return std::nullopt;
   WDAG_DOMAIN(pos.back() - pos.front() + 1 == pos.size(),
@@ -29,12 +29,12 @@ std::optional<Dipath> conflict_interval(const DipathFamily& family, PathId p,
 
   Dipath inter;
   for (std::size_t i = pos.front(); i <= pos.back(); ++i) {
-    inter.arcs.push_back(P.arcs[i]);
+    inter.arcs.push_back(P[i]);
   }
   // The same arcs must be contiguous and identically ordered along Q.
-  auto it = std::find(Q.arcs.begin(), Q.arcs.end(), inter.arcs.front());
-  WDAG_DOMAIN(it != Q.arcs.end() &&
-                  static_cast<std::size_t>(Q.arcs.end() - it) >= inter.arcs.size() &&
+  auto it = std::find(Q.begin(), Q.end(), inter.arcs.front());
+  WDAG_DOMAIN(it != Q.end() &&
+                  static_cast<std::size_t>(Q.end() - it) >= inter.arcs.size() &&
                   std::equal(inter.arcs.begin(), inter.arcs.end(), it),
               "conflict_interval: intersection is not a common interval "
               "(host graph cannot be UPP)");
@@ -66,12 +66,12 @@ bool triples_satisfy_helly(const DipathFamily& family) {
       for (std::size_t c = b + 1; c < n; ++c) {
         if (!cg.adjacent(a, c) || !cg.adjacent(b, c)) continue;
         // Common arc of all three?
-        const std::set<graph::ArcId> sa(family.path(static_cast<PathId>(a)).arcs.begin(),
-                                        family.path(static_cast<PathId>(a)).arcs.end());
-        const std::set<graph::ArcId> sb(family.path(static_cast<PathId>(b)).arcs.begin(),
-                                        family.path(static_cast<PathId>(b)).arcs.end());
+        const auto pa = family.path(static_cast<PathId>(a));
+        const auto pb = family.path(static_cast<PathId>(b));
+        const std::set<graph::ArcId> sa(pa.begin(), pa.end());
+        const std::set<graph::ArcId> sb(pb.begin(), pb.end());
         bool common = false;
-        for (graph::ArcId arc : family.path(static_cast<PathId>(c)).arcs) {
+        for (graph::ArcId arc : family.path(static_cast<PathId>(c))) {
           if (sa.count(arc) && sb.count(arc)) {
             common = true;
             break;

@@ -23,6 +23,16 @@ namespace wdag::core {
 
 namespace {
 
+/// The event-log name of a prober's health event.
+const char* probe_event_name(ProbeEvent::Kind kind) {
+  switch (kind) {
+    case ProbeEvent::Kind::kMiss: return "probe-miss";
+    case ProbeEvent::Kind::kUnhealthy: return "unhealthy";
+    case ProbeEvent::Kind::kRecovered: return "recovered";
+  }
+  return "recovered";
+}
+
 /// Timings with millisecond precision — enough for logs, and short.
 std::string fmt_seconds(double v) {
   char buf[32];
@@ -581,11 +591,8 @@ DriveReport drive(const ShardPlan& plan, const DriveOptions& options,
       //     configured, raise emergency local slots instead of stalling.
       for (std::size_t t = 0; t < remote_count; ++t) {
         for (const ProbeEvent& pe : transports[t]->drain_probe_events()) {
-          const char* kind = pe.kind == ProbeEvent::Kind::kMiss ? "probe-miss"
-                             : pe.kind == ProbeEvent::Kind::kUnhealthy
-                                 ? "unhealthy"
-                                 : "recovered";
-          emit(kind, 0, 0, 0.0, 0, pe.detail, transports[t]->id());
+          emit(probe_event_name(pe.kind), 0, 0, 0.0, 0, pe.detail,
+               transports[t]->id());
           if (pe.kind != ProbeEvent::Kind::kUnhealthy) continue;
           for (ShardState& sh : st) {
             std::vector<Attempt> keep;
@@ -850,6 +857,17 @@ DriveReport drive(const ShardPlan& plan, const DriveOptions& options,
   out.flush();
 
   cleanup.success = true;
+
+  // A remote worker still out of rotation as the drive ends gets one more
+  // probe before `done`, so the log's last word on its health is current
+  // instead of a race between its prober and the last shard.
+  for (std::size_t t = 0; t < remote_count; ++t) {
+    transports[t]->settle_health();
+    for (const ProbeEvent& pe : transports[t]->drain_probe_events()) {
+      emit(probe_event_name(pe.kind), 0, 0, 0.0, 0, pe.detail,
+           transports[t]->id());
+    }
+  }
 
   DriveReport report;
   report.shards.reserve(shard_count);

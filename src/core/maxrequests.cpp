@@ -21,13 +21,13 @@ MaxRequestsResult max_requests_greedy(const DipathFamily& candidates,
   std::vector<std::size_t> order(candidates.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return candidates.path(static_cast<paths::PathId>(a)).length() <
-           candidates.path(static_cast<paths::PathId>(b)).length();
+    return candidates.path(static_cast<paths::PathId>(a)).size() <
+           candidates.path(static_cast<paths::PathId>(b)).size();
   });
 
   std::vector<std::size_t> load(candidates.graph().num_arcs(), 0);
   for (const std::size_t i : order) {
-    const auto& arcs = candidates.path(static_cast<paths::PathId>(i)).arcs;
+    const auto arcs = candidates.path(static_cast<paths::PathId>(i));
     const bool fits = std::all_of(arcs.begin(), arcs.end(),
                                   [&](ArcId a) { return load[a] < w; });
     if (!fits) continue;
@@ -59,19 +59,19 @@ struct Search {
         best(c.size(), false) {}
 
   [[nodiscard]] bool fits(std::size_t i) const {
-    const auto& arcs = cand.path(static_cast<paths::PathId>(i)).arcs;
+    const auto arcs = cand.path(static_cast<paths::PathId>(i));
     return std::all_of(arcs.begin(), arcs.end(),
                        [&](ArcId a) { return load[a] < w; });
   }
 
   void add(std::size_t i) {
-    for (ArcId a : cand.path(static_cast<paths::PathId>(i)).arcs) ++load[a];
+    for (ArcId a : cand.path(static_cast<paths::PathId>(i))) ++load[a];
     current[i] = true;
     ++current_count;
   }
 
   void remove(std::size_t i) {
-    for (ArcId a : cand.path(static_cast<paths::PathId>(i)).arcs) --load[a];
+    for (ArcId a : cand.path(static_cast<paths::PathId>(i))) --load[a];
     current[i] = false;
     --current_count;
   }

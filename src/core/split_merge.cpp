@@ -377,7 +377,7 @@ SplitMergeResult color_upp_split_merge(const DipathFamily& family,
   Arena& ar = arena();
   Level& top = ar.level(0);
   top.graph = &g;
-  top.family.assign(family);
+  top.family = family.flat();  // level 0 gets padded, so it takes a copy
   top.internal.assign(report.internal_arcs.begin(),
                       report.internal_arcs.end());
 

@@ -266,9 +266,7 @@ Theorem1Result color_equal_load(const DipathFamily& family,
   Theorem1Result res;
   if (family.empty()) return res;
 
-  thread_local FlatFamily flat;
-  flat.assign(family);
-  color_equal_load_into(family.graph(), report.topo_order, flat, res);
+  color_equal_load_into(family.graph(), report.topo_order, family.flat(), res);
   return res;
 }
 

@@ -17,9 +17,6 @@ namespace {
 /// kill() settles promptly, long enough to stay off the CPU.
 constexpr int kAttemptTickMs = 100;
 
-/// Sleep granularity of the prober between probes (checks stop_).
-constexpr int kProbeSleepTickMs = 50;
-
 }  // namespace
 
 // --- wire ------------------------------------------------------------------
@@ -323,8 +320,26 @@ TcpTransport::TcpTransport(const std::string& endpoint, Config config)
 }
 
 TcpTransport::~TcpTransport() {
-  stop_.store(true, std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock(probe_mutex_);
+    stop_.store(true, std::memory_order_relaxed);
+  }
+  probe_cv_.notify_all();
   if (prober_.joinable()) prober_.join();
+}
+
+void TcpTransport::settle_health() {
+  std::unique_lock<std::mutex> lock(probe_mutex_);
+  if (healthy_.load(std::memory_order_relaxed)) return;
+  // Health only changes under this lock, in the same step that counts a
+  // probe, so the next count comes from a probe that finished after the
+  // transition that took the worker out of rotation.
+  const std::uint64_t target = probes_ + 1;
+  probe_now_ = true;
+  probe_cv_.notify_all();
+  probe_cv_.wait(lock, [&] {
+    return probes_ >= target || stop_.load(std::memory_order_relaxed);
+  });
 }
 
 std::unique_ptr<TransportAttempt> TcpTransport::start(
@@ -371,6 +386,7 @@ void TcpTransport::probe_loop() {
   std::size_t misses = 0;
   while (!stop_.load(std::memory_order_relaxed)) {
     const bool ok = probe_once();
+    std::unique_lock<std::mutex> lock(probe_mutex_);
     if (ok) {
       if (!healthy_.load(std::memory_order_relaxed)) {
         healthy_.store(true, std::memory_order_relaxed);
@@ -393,22 +409,19 @@ void TcpTransport::probe_loop() {
                        ") exhausted; out of rotation");
       }
     }
-    // Sleep the interval in short ticks so destruction stays prompt; the
-    // last tick is cut to the deadline, so an interval shorter than a
-    // tick is not rounded up to one.
-    const auto interval =
-        std::chrono::duration<double>(config_.probe_interval_seconds);
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            interval);
-    for (auto now = std::chrono::steady_clock::now();
-         !stop_.load(std::memory_order_relaxed) && now < deadline;
-         now = std::chrono::steady_clock::now()) {
-      std::this_thread::sleep_for(
-          std::min<std::chrono::steady_clock::duration>(
-              deadline - now, std::chrono::milliseconds(kProbeSleepTickMs)));
-    }
+    ++probes_;
+    probe_cv_.notify_all();
+    // Sleep the interval, or until destruction or settle_health() cuts
+    // it short.
+    const auto interval = std::chrono::duration_cast<
+        std::chrono::steady_clock::duration>(
+        std::chrono::duration<double>(config_.probe_interval_seconds));
+    probe_cv_.wait_until(lock, std::chrono::steady_clock::now() + interval,
+                         [&] {
+                           return probe_now_ ||
+                                  stop_.load(std::memory_order_relaxed);
+                         });
+    probe_now_ = false;
   }
 }
 

@@ -36,6 +36,7 @@
 // surface (never reachable from wdag/wdag.hpp, not in WDAG_PUBLIC_HEADERS).
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -151,6 +152,11 @@ class WorkerTransport {
   [[nodiscard]] virtual std::vector<ProbeEvent> drain_probe_events() {
     return {};
   }
+  /// When the transport is out of rotation, wakes its prober and blocks
+  /// until one more probe has finished (bounded by the probe's own
+  /// timeouts), so the next drain holds its current health. A no-op for
+  /// a healthy transport or one without a prober.
+  virtual void settle_health() {}
 };
 
 /// The extracted posix_spawn path: each attempt is one
@@ -211,6 +217,7 @@ class TcpTransport final : public WorkerTransport {
   [[nodiscard]] std::unique_ptr<TransportAttempt> start(
       const AttemptSpec& spec) override;
   [[nodiscard]] std::vector<ProbeEvent> drain_probe_events() override;
+  void settle_health() override;
 
   /// Splits "host:port"; throws wdag::InvalidArgument when the port is
   /// missing or out of range (host syntax is checked at dial time).
@@ -228,6 +235,12 @@ class TcpTransport final : public WorkerTransport {
   Config config_;
   std::atomic<bool> healthy_{true};
   std::atomic<bool> stop_{false};
+  /// Guards the health transitions, probes_ and probe_now_; the prober
+  /// sleeps on probe_cv_ between probes.
+  std::mutex probe_mutex_;
+  std::condition_variable probe_cv_;
+  std::uint64_t probes_ = 0;  ///< probes finished so far
+  bool probe_now_ = false;    ///< cut the current sleep short
   std::mutex events_mutex_;
   std::vector<ProbeEvent> events_;
   std::thread prober_;

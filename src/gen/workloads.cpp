@@ -1,7 +1,10 @@
 #include "gen/workloads.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -36,32 +39,45 @@ enum class RouteKind {
   kShortest,  ///< paths::shortest_route (general hosts)
 };
 
-/// A cached skeleton: graph, routable pairs, and one route per pair.
+/// A cached skeleton: graph and one route per routable pair.
 struct SkeletonPool {
-  Instance skeleton;  ///< empty family over the pooled graph
-  std::vector<std::pair<graph::VertexId, graph::VertexId>> pairs;
-  std::vector<paths::Dipath> routes;  ///< routes[i] serves pairs[i]
+  std::shared_ptr<const graph::Digraph> graph;
+  /// Route i serves the i-th reachable pair (u, v), u != v, in (u, v)
+  /// order: the pair list the uncached generators index.
+  paths::FlatFamily routes;
 };
 
-SkeletonPool build_pool(Instance skeleton, RouteKind kind) {
+SkeletonPool build_pool(const Instance& skeleton, RouteKind kind) {
   SkeletonPool pool;
-  pool.skeleton = std::move(skeleton);
-  const auto& g = *pool.skeleton.graph;
+  pool.graph = skeleton.graph;
+  const auto& g = *pool.graph;
   const auto closure = graph::transitive_closure(g);
   for (graph::VertexId u = 0; u < g.num_vertices(); ++u) {
     for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (u != v && closure[u].test(v)) pool.pairs.emplace_back(u, v);
+      if (u == v || !closure[u].test(v)) continue;
+      const auto route = kind == RouteKind::kUnique
+                             ? paths::unique_route(g, u, v)
+                             : paths::shortest_route(g, u, v);
+      WDAG_ASSERT(route.has_value(), "skeleton pool: lost route");
+      pool.routes.add(*route);
     }
   }
-  pool.routes.reserve(pool.pairs.size());
-  for (const auto& [u, v] : pool.pairs) {
-    const auto route = kind == RouteKind::kUnique
-                           ? paths::unique_route(g, u, v)
-                           : paths::shortest_route(g, u, v);
-    WDAG_ASSERT(route.has_value(), "skeleton pool: lost route");
-    pool.routes.push_back(*route);
-  }
   return pool;
+}
+
+/// What a cached pool or instance was built from: a family tag, then its
+/// integer parameters (unused slots 0). Compared as integers, so a lookup
+/// formats and allocates nothing.
+enum class Cached : std::uint64_t {
+  kUppOneCycle, kUppMultiCycle, kGrid, kButterfly, kSpine,
+  kTheorem2, kFigure1, kFigure3, kHavet,
+};
+using CacheKey = std::array<std::uint64_t, 6>;
+
+CacheKey cache_key(Cached tag, std::uint64_t a = 0, std::uint64_t b = 0,
+                   std::uint64_t c = 0, std::uint64_t d = 0,
+                   std::uint64_t e = 0) {
+  return {static_cast<std::uint64_t>(tag), a, b, c, d, e};
 }
 
 /// Cached entries per thread before a cache resets; parameter sweeps can
@@ -71,9 +87,9 @@ constexpr std::size_t kMaxCachedSkeletons = 64;
 
 /// The per-thread pool for `key`, built on first use with `make`.
 template <class Make>
-const SkeletonPool& pooled(const std::string& key, RouteKind kind,
+const SkeletonPool& pooled(const CacheKey& key, RouteKind kind,
                            const Make& make) {
-  thread_local std::map<std::string, SkeletonPool> pools;
+  thread_local std::map<CacheKey, SkeletonPool> pools;
   const auto it = pools.find(key);
   if (it != pools.end()) return it->second;
   if (pools.size() >= kMaxCachedSkeletons) pools.clear();
@@ -81,15 +97,25 @@ const SkeletonPool& pooled(const std::string& key, RouteKind kind,
 }
 
 /// Samples `count` requests from the pool (one rng.index per request,
-/// matching the uncached generators' RNG consumption).
+/// matching the uncached generators' RNG consumption). The draws come
+/// first, so the family is sized once and filled by span copies.
 Instance sample_pool(const SkeletonPool& pool, Xoshiro256& rng,
                      std::size_t count) {
-  WDAG_REQUIRE(!pool.pairs.empty(), "skeleton pool: no routable pair");
+  const paths::FlatFamily& routes = pool.routes;
+  WDAG_REQUIRE(!routes.empty(), "skeleton pool: no routable pair");
+  thread_local std::vector<paths::PathId> picks;
+  picks.resize(count);
+  std::size_t total = 0;
+  for (paths::PathId& pick : picks) {
+    pick = static_cast<paths::PathId>(rng.index(routes.size()));
+    total += routes.offsets[pick + 1] - routes.offsets[pick];
+  }
   Instance inst;
-  inst.graph = pool.skeleton.graph;
+  inst.graph = pool.graph;
   inst.family = paths::DipathFamily(*inst.graph);
-  for (std::size_t i = 0; i < count; ++i) {
-    inst.family.add_unchecked(pool.routes[rng.index(pool.pairs.size())]);
+  inst.family.reserve(count, total);
+  for (const paths::PathId pick : picks) {
+    inst.family.add_unchecked(routes.path(pick));
   }
   return inst;
 }
@@ -97,17 +123,12 @@ Instance sample_pool(const SkeletonPool& pool, Xoshiro256& rng,
 /// A fully deterministic instance (fixed family, no RNG), cached per
 /// thread and returned by copy; the host graph is shared.
 template <class Make>
-Instance fixed_instance_cached(const std::string& key, const Make& make) {
-  thread_local std::map<std::string, Instance> cache;
+Instance fixed_instance_cached(const CacheKey& key, const Make& make) {
+  thread_local std::map<CacheKey, Instance> cache;
   const auto it = cache.find(key);
   if (it != cache.end()) return it->second;
   if (cache.size() >= kMaxCachedSkeletons) cache.clear();
   return cache.emplace(key, make()).first->second;
-}
-
-std::string upp_key(const UppCycleParams& p) {
-  return std::to_string(p.k) + "," + std::to_string(p.run_len) + "," +
-         std::to_string(p.chain_in) + "," + std::to_string(p.chain_out);
 }
 
 Instance random_upp_mix(const WorkloadParams& p, Xoshiro256& rng) {
@@ -127,7 +148,9 @@ Instance random_upp_mix(const WorkloadParams& p, Xoshiro256& rng) {
     // Same skeleton, pairs and unique routes as
     // random_upp_one_cycle_instance, pooled per parameter key.
     return sample_pool(
-        pooled("upp1:" + upp_key(up), RouteKind::kUnique,
+        pooled(cache_key(Cached::kUppOneCycle, up.k, up.run_len, up.chain_in,
+                         up.chain_out),
+               RouteKind::kUnique,
                [&] { return upp_one_cycle_skeleton(up); }),
         rng, count);
   }
@@ -138,14 +161,15 @@ Instance random_upp_mix(const WorkloadParams& p, Xoshiro256& rng) {
   }
   if (pick < 8) {
     const std::size_t k = 2 + static_cast<std::size_t>(rng.below(3));
-    return fixed_instance_cached("t2:" + std::to_string(k),
+    return fixed_instance_cached(cache_key(Cached::kTheorem2, k),
                                  [&] { return theorem2_instance(k); });
   }
   const std::size_t cycles = 2 + static_cast<std::size_t>(rng.below(2));
   // random_request_family on a deterministic skeleton == shortest-route
   // pool sampling.
   return sample_pool(
-      pooled("uppN:" + std::to_string(cycles) + ":" + upp_key(up),
+      pooled(cache_key(Cached::kUppMultiCycle, cycles, up.k, up.run_len,
+                       up.chain_in, up.chain_out),
              RouteKind::kShortest,
              [&] { return upp_multi_cycle_skeleton(cycles, up); }),
       rng, count);
@@ -181,13 +205,13 @@ Instance workload_instance(const std::string& name,
   }
   if (name == "grid") {
     return sample_pool(
-        pooled("grid:" + std::to_string(p.rows) + "x" + std::to_string(p.cols),
+        pooled(cache_key(Cached::kGrid, p.rows, p.cols),
                RouteKind::kShortest,
                [&] { return Instance::over(grid_dag(p.rows, p.cols)); }),
         rng, p.paths);
   }
   if (name == "butterfly") {
-    return sample_pool(pooled("bf:" + std::to_string(p.dim),
+    return sample_pool(pooled(cache_key(Cached::kButterfly, p.dim),
                               RouteKind::kShortest,
                               [&] { return Instance::over(butterfly(p.dim)); }),
                        rng, p.paths);
@@ -201,29 +225,29 @@ Instance workload_instance(const std::string& name,
   }
   if (name == "spine") {
     return sample_pool(
-        pooled("spine:" + std::to_string(p.size), RouteKind::kShortest,
+        pooled(cache_key(Cached::kSpine, p.size), RouteKind::kShortest,
                [&] { return Instance::over(spine_with_leaves(p.size)); }),
         rng, p.paths);
   }
   if (name == "odd-cycle") {
-    return fixed_instance_cached("t2:" + std::to_string(p.k),
+    return fixed_instance_cached(cache_key(Cached::kTheorem2, p.k),
                                  [&] { return theorem2_instance(p.k); });
   }
   if (name == "c5") {
-    return fixed_instance_cached("t2:2", [] { return theorem2_instance(2); });
+    return fixed_instance_cached(cache_key(Cached::kTheorem2, 2), [] { return theorem2_instance(2); });
   }
   if (name == "c7") {
-    return fixed_instance_cached("t2:3", [] { return theorem2_instance(3); });
+    return fixed_instance_cached(cache_key(Cached::kTheorem2, 3), [] { return theorem2_instance(3); });
   }
   if (name == "figure1") {
-    return fixed_instance_cached("fig1:" + std::to_string(p.k),
+    return fixed_instance_cached(cache_key(Cached::kFigure1, p.k),
                                  [&] { return figure1_pathological(p.k); });
   }
   if (name == "figure3") {
-    return fixed_instance_cached("fig3", [] { return figure3_instance(); });
+    return fixed_instance_cached(cache_key(Cached::kFigure3), [] { return figure3_instance(); });
   }
   if (name == "havet") {
-    return fixed_instance_cached("havet:" + std::to_string(p.h),
+    return fixed_instance_cached(cache_key(Cached::kHavet, p.h),
                                  [&] { return havet_instance().replicate(p.h); });
   }
   throw wdag::InvalidArgument("unknown workload '" + name +

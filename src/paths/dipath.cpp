@@ -10,68 +10,69 @@ namespace wdag::paths {
 using graph::ArcId;
 using graph::Digraph;
 using graph::VertexId;
+using ArcSpan = std::span<const ArcId>;
 
-VertexId path_source(const Digraph& g, const Dipath& p) {
+VertexId path_source(const Digraph& g, ArcSpan p) {
   WDAG_REQUIRE(!p.empty(), "path_source: dipath is empty");
-  return g.tail(p.arcs.front());
+  return g.tail(p.front());
 }
 
-VertexId path_target(const Digraph& g, const Dipath& p) {
+VertexId path_target(const Digraph& g, ArcSpan p) {
   WDAG_REQUIRE(!p.empty(), "path_target: dipath is empty");
-  return g.head(p.arcs.back());
+  return g.head(p.back());
 }
 
-std::vector<VertexId> path_vertices(const Digraph& g, const Dipath& p) {
+std::vector<VertexId> path_vertices(const Digraph& g, ArcSpan p) {
   WDAG_REQUIRE(!p.empty(), "path_vertices: dipath is empty");
   std::vector<VertexId> out;
-  out.reserve(p.length() + 1);
-  out.push_back(g.tail(p.arcs.front()));
-  for (ArcId a : p.arcs) out.push_back(g.head(a));
+  out.reserve(p.size() + 1);
+  out.push_back(g.tail(p.front()));
+  for (ArcId a : p) out.push_back(g.head(a));
   return out;
 }
 
-bool is_valid_dipath(const Digraph& g, const Dipath& p) {
+bool is_valid_dipath(const Digraph& g, ArcSpan p) {
   if (p.empty()) return false;
-  for (std::size_t i = 0; i < p.arcs.size(); ++i) {
-    if (p.arcs[i] >= g.num_arcs()) return false;
-    if (i > 0 && g.head(p.arcs[i - 1]) != g.tail(p.arcs[i])) return false;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    if (p[i] >= g.num_arcs()) return false;
+    if (i > 0 && g.head(p[i - 1]) != g.tail(p[i])) return false;
   }
   // Vertex-repetition check. The visited vertices are the arc tails plus
   // the final head; typical dipaths are a handful of arcs, so a quadratic
   // scan beats a set, with a sort fallback for long paths.
-  const std::size_t len = p.arcs.size();
+  const std::size_t len = p.size();
   if (len <= 32) {
     for (std::size_t i = 0; i < len; ++i) {
-      const VertexId vi = g.tail(p.arcs[i]);
+      const VertexId vi = g.tail(p[i]);
       for (std::size_t j = i + 1; j < len; ++j) {
-        if (vi == g.tail(p.arcs[j])) return false;
+        if (vi == g.tail(p[j])) return false;
       }
-      if (vi == g.head(p.arcs.back())) return false;
+      if (vi == g.head(p.back())) return false;
     }
     return true;
   }
   std::vector<VertexId> seen;
   seen.reserve(len + 1);
-  for (const ArcId a : p.arcs) seen.push_back(g.tail(a));
-  seen.push_back(g.head(p.arcs.back()));
+  for (const ArcId a : p) seen.push_back(g.tail(a));
+  seen.push_back(g.head(p.back()));
   std::sort(seen.begin(), seen.end());
   return std::adjacent_find(seen.begin(), seen.end()) == seen.end();
 }
 
-bool contains_arc(const Dipath& p, ArcId a) {
-  return std::find(p.arcs.begin(), p.arcs.end(), a) != p.arcs.end();
+bool contains_arc(ArcSpan p, ArcId a) {
+  return std::find(p.begin(), p.end(), a) != p.end();
 }
 
-bool paths_conflict(const Dipath& p, const Dipath& q) {
-  for (ArcId a : p.arcs) {
+bool paths_conflict(ArcSpan p, ArcSpan q) {
+  for (ArcId a : p) {
     if (contains_arc(q, a)) return true;
   }
   return false;
 }
 
-std::vector<ArcId> shared_arcs(const Dipath& p, const Dipath& q) {
+std::vector<ArcId> shared_arcs(ArcSpan p, ArcSpan q) {
   std::vector<ArcId> out;
-  for (ArcId a : p.arcs) {
+  for (ArcId a : p) {
     if (contains_arc(q, a)) out.push_back(a);
   }
   return out;
@@ -104,11 +105,11 @@ Dipath dipath_through_names(const Digraph& g,
   return dipath_through(g, vs);
 }
 
-std::string path_to_string(const Digraph& g, const Dipath& p) {
+std::string path_to_string(const Digraph& g, ArcSpan p) {
   if (p.empty()) return "(empty)";
   std::ostringstream os;
-  os << g.vertex_label(g.tail(p.arcs.front()));
-  for (ArcId a : p.arcs) os << " -> " << g.vertex_label(g.head(a));
+  os << g.vertex_label(g.tail(p.front()));
+  for (ArcId a : p) os << " -> " << g.vertex_label(g.head(a));
   return os.str();
 }
 

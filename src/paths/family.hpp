@@ -5,17 +5,18 @@
 // of Theorems 6/7 replace each dipath by h identical copies — so the family
 // stores paths by index and never deduplicates.
 
+#include <span>
 #include <vector>
 
 #include "paths/dipath.hpp"
+#include "paths/flat_family.hpp"
 #include "util/check.hpp"
 
 namespace wdag::paths {
 
-/// Index of a dipath within a family.
-using PathId = std::uint32_t;
-
-/// An ordered multiset of dipaths over a fixed host graph.
+/// An ordered multiset of dipaths over a fixed host graph, stored flat:
+/// every path's arcs live in one buffer (see FlatFamily), so building a
+/// family costs a few buffer growths, not one allocation per path.
 class DipathFamily {
  public:
   DipathFamily() = default;
@@ -29,14 +30,14 @@ class DipathFamily {
     return *graph_;
   }
 
-  /// Adds a dipath (validated); returns its id.
-  PathId add(Dipath p);
+  /// Adds a dipath (validated); returns its id. A Dipath converts to the
+  /// span; so does another path of this family.
+  PathId add(std::span<const graph::ArcId> p);
 
   /// Adds a dipath the caller guarantees to be valid, skipping the
-  /// per-arc validation walk. For internal hot paths (e.g. the split-merge
-  /// recursion re-wrapping paths it just transformed); everything else
-  /// should use add().
-  PathId add_unchecked(Dipath p);
+  /// per-arc validation walk. For generators and internal hot paths whose
+  /// routes are valid by construction; everything else should use add().
+  PathId add_unchecked(std::span<const graph::ArcId> p);
 
   /// Adds a dipath through the given vertices.
   PathId add_through(const std::vector<graph::VertexId>& vertices);
@@ -44,18 +45,28 @@ class DipathFamily {
   /// Adds a dipath through the given vertex names.
   PathId add_through_names(const std::vector<std::string>& names);
 
-  /// Number of dipaths (counting copies).
-  [[nodiscard]] std::size_t size() const { return paths_.size(); }
-  [[nodiscard]] bool empty() const { return paths_.empty(); }
-
-  /// The dipath with the given id.
-  [[nodiscard]] const Dipath& path(PathId id) const {
-    WDAG_REQUIRE(id < paths_.size(), "DipathFamily::path: id out of range");
-    return paths_[id];
+  /// Sizes the storage for `paths` more dipaths of `arcs` arcs in total.
+  void reserve(std::size_t paths, std::size_t arcs) {
+    flat_.reserve(paths, arcs);
   }
 
-  /// All dipaths, indexed by PathId.
-  [[nodiscard]] const std::vector<Dipath>& paths() const { return paths_; }
+  /// Number of dipaths (counting copies).
+  [[nodiscard]] std::size_t size() const { return flat_.size(); }
+  [[nodiscard]] bool empty() const { return flat_.empty(); }
+
+  /// The arcs of the dipath with the given id, valid until the next add.
+  [[nodiscard]] std::span<const graph::ArcId> path(PathId id) const {
+    WDAG_REQUIRE(id < size(), "DipathFamily::path: id out of range");
+    return flat_.path(id);
+  }
+
+  /// The flat storage: path id's arcs are
+  /// flat().arcs[flat().offsets[id] .. flat().offsets[id + 1]).
+  [[nodiscard]] const FlatFamily& flat() const { return flat_; }
+
+  /// Every dipath as its own Dipath, indexed by PathId (a copy).
+  [[deprecated("stored flat since 0.6.0: use path(id) or flat()")]]
+  [[nodiscard]] std::vector<Dipath> paths() const;
 
   /// New family with every dipath replaced by `h` identical copies,
   /// in blocks: copies of path i occupy ids [i*h, (i+1)*h).
@@ -66,7 +77,7 @@ class DipathFamily {
 
  private:
   const graph::Digraph* graph_ = nullptr;
-  std::vector<Dipath> paths_;
+  FlatFamily flat_;
 };
 
 /// For each arc of the host graph, the ids of the dipaths containing it.

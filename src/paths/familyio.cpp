@@ -22,9 +22,9 @@ std::string to_instance_text(const DipathFamily& family) {
     os << "arc " << g.vertex_label(arc.tail) << ' ' << g.vertex_label(arc.head)
        << '\n';
   }
-  for (const Dipath& p : family.paths()) {
+  for (PathId id = 0; id < family.size(); ++id) {
     os << "path";
-    for (const VertexId v : path_vertices(g, p)) {
+    for (const VertexId v : path_vertices(g, family.path(id))) {
       os << ' ' << g.vertex_label(v);
     }
     os << '\n';

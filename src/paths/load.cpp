@@ -6,21 +6,31 @@
 
 namespace wdag::paths {
 
-std::vector<std::size_t> arc_loads(const DipathFamily& family) {
-  std::vector<std::size_t> loads(family.graph().num_arcs(), 0);
-  for (const Dipath& p : family.paths()) {
-    for (graph::ArcId a : p.arcs) ++loads[a];
-  }
+namespace {
+
+/// Per-arc loads of `family` in thread-local storage, so the pi queries
+/// below allocate nothing once warm. Valid until the next call on this
+/// thread.
+const std::vector<std::size_t>& loads_scratch(const DipathFamily& family) {
+  thread_local std::vector<std::size_t> loads;
+  loads.assign(family.graph().num_arcs(), 0);
+  for (graph::ArcId a : family.flat().arcs) ++loads[a];
   return loads;
 }
 
+}  // namespace
+
+std::vector<std::size_t> arc_loads(const DipathFamily& family) {
+  return loads_scratch(family);
+}
+
 std::size_t max_load(const DipathFamily& family) {
-  const auto loads = arc_loads(family);
+  const auto& loads = loads_scratch(family);
   return loads.empty() ? 0 : *std::max_element(loads.begin(), loads.end());
 }
 
 graph::ArcId max_load_arc(const DipathFamily& family) {
-  const auto loads = arc_loads(family);
+  const auto& loads = loads_scratch(family);
   if (loads.empty()) return graph::kNoArc;
   const auto it = std::max_element(loads.begin(), loads.end());
   if (*it == 0) return graph::kNoArc;
@@ -29,7 +39,7 @@ graph::ArcId max_load_arc(const DipathFamily& family) {
 
 RestrictedLoad max_load_on(const DipathFamily& family,
                            const std::vector<graph::ArcId>& arcs) {
-  const auto loads = arc_loads(family);
+  const auto& loads = loads_scratch(family);
   RestrictedLoad best;
   for (graph::ArcId a : arcs) {
     WDAG_REQUIRE(a < loads.size(), "max_load_on: arc id out of range");

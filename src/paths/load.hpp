@@ -11,7 +11,9 @@ namespace wdag::paths {
 /// load(G,P,e) for every arc e, indexed by ArcId.
 std::vector<std::size_t> arc_loads(const DipathFamily& family);
 
-/// pi(G,P): the maximum arc load (0 for an empty family).
+/// pi(G,P): the maximum arc load (0 for an empty family). Counts into
+/// thread-local storage (as do the two queries below), so a warm call
+/// makes no heap allocation.
 std::size_t max_load(const DipathFamily& family);
 
 /// An arc attaining the maximum load, or kNoArc for an empty family.

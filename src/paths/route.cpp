@@ -42,6 +42,13 @@ std::optional<Dipath> unique_route(const Digraph& g, VertexId u, VertexId v) {
 }
 
 std::optional<Dipath> shortest_route(const Digraph& g, VertexId u, VertexId v) {
+  Dipath p;
+  if (!shortest_route_into(g, u, v, p.arcs)) return std::nullopt;
+  return p;
+}
+
+bool shortest_route_into(const Digraph& g, VertexId u, VertexId v,
+                         std::vector<ArcId>& out) {
   WDAG_REQUIRE(u < g.num_vertices() && v < g.num_vertices(),
                "shortest_route: vertex out of range");
   WDAG_REQUIRE(u != v, "shortest_route: requests must have distinct endpoints");
@@ -71,15 +78,15 @@ std::optional<Dipath> shortest_route(const Digraph& g, VertexId u, VertexId v) {
       }
     }
   }
-  if (dist[v] == -1) return std::nullopt;
-  Dipath p;
+  out.clear();
+  if (dist[v] == -1) return false;
   for (VertexId cur = v; cur != u;) {
     const ArcId a = parent[cur];
-    p.arcs.push_back(a);
+    out.push_back(a);
     cur = g.tail(a);
   }
-  std::reverse(p.arcs.begin(), p.arcs.end());
-  return p;
+  std::reverse(out.begin(), out.end());
+  return true;
 }
 
 DipathFamily route_requests(const Digraph& g,

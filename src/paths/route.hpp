@@ -32,6 +32,11 @@ std::optional<Dipath> unique_route(const graph::Digraph& g, graph::VertexId u,
 std::optional<Dipath> shortest_route(const graph::Digraph& g,
                                      graph::VertexId u, graph::VertexId v);
 
+/// shortest_route() into a caller-owned buffer (overwritten), for loops
+/// that route many requests; false (and `out` empty) when unreachable.
+bool shortest_route_into(const graph::Digraph& g, graph::VertexId u,
+                         graph::VertexId v, std::vector<graph::ArcId>& out);
+
 /// Routing policy for route_requests.
 enum class RoutePolicy {
   kUnique,    ///< UPP routing (throws DomainError on ambiguous pairs)

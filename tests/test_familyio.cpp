@@ -26,7 +26,7 @@ TEST(FamilyIoTest, RoundTripPreservesPathLengths) {
   const auto parsed = parse_instance_text(to_instance_text(inst.family));
   ASSERT_EQ(parsed.family.size(), 8u);
   for (PathId i = 0; i < 8; ++i) {
-    EXPECT_EQ(parsed.family.path(i).length(), inst.family.path(i).length());
+    EXPECT_EQ(parsed.family.path(i).size(), inst.family.path(i).size());
   }
 }
 
@@ -70,7 +70,7 @@ TEST(FamilyIoTest, EmptyTextYieldsEmptyInstance) {
 TEST(FamilyIoTest, NumericVertices) {
   const auto parsed = parse_instance_text("arc 0 1\narc 1 2\npath 0 1 2\n");
   EXPECT_EQ(parsed.family.size(), 1u);
-  EXPECT_EQ(parsed.family.path(0).length(), 2u);
+  EXPECT_EQ(parsed.family.path(0).size(), 2u);
 }
 
 // Regression: an arc or path vertex beyond unsigned long used to escape

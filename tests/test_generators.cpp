@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "dag/classify.hpp"
 #include "dag/internal_cycle.hpp"
@@ -11,14 +13,20 @@
 #include "gen/family_gen.hpp"
 #include "gen/random_dag.hpp"
 #include "gen/upp_gen.hpp"
+#include "graph/reachability.hpp"
 #include "graph/topo.hpp"
 #include "paths/dipath.hpp"
+#include "paths/route.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace wdag::gen;
+using wdag::graph::Digraph;
+using wdag::graph::VertexId;
+using wdag::paths::DipathFamily;
+using wdag::paths::PathId;
 using wdag::util::Xoshiro256;
 
 TEST(RandomDagTest, AlwaysAcyclic) {
@@ -106,7 +114,8 @@ TEST(UppGenTest, RandomInstanceFamiliesAreValidRoutes) {
   const auto inst =
       random_upp_one_cycle_instance(rng, UppCycleParams{3, 1, 1, 1}, 30);
   EXPECT_EQ(inst.family.size(), 30u);
-  for (const auto& p : inst.family.paths()) {
+  for (wdag::paths::PathId id = 0; id < inst.family.size(); ++id) {
+    const auto p = inst.family.path(id);
     EXPECT_TRUE(wdag::paths::is_valid_dipath(*inst.graph, p));
   }
 }
@@ -116,9 +125,10 @@ TEST(FamilyGenTest, RandomWalksRespectLengthBounds) {
   const auto g = random_layered_dag(rng, 6, 3, 0.5);
   const auto fam = random_walk_family(rng, g, 40, 2, 4);
   EXPECT_EQ(fam.size(), 40u);
-  for (const auto& p : fam.paths()) {
-    EXPECT_GE(p.length(), 1u);  // min_len is best-effort at sinks
-    EXPECT_LE(p.length(), 4u);
+  for (wdag::paths::PathId id = 0; id < fam.size(); ++id) {
+    const auto p = fam.path(id);
+    EXPECT_GE(p.size(), 1u);  // min_len is best-effort at sinks
+    EXPECT_LE(p.size(), 4u);
     EXPECT_TRUE(wdag::paths::is_valid_dipath(g, p));
   }
 }
@@ -129,7 +139,8 @@ TEST(FamilyGenTest, AllToAllOnUppSkeleton) {
   EXPECT_GT(fam.size(), 0u);
   // One dipath per reachable ordered pair; endpoints must be unique pairs.
   std::set<std::pair<unsigned, unsigned>> seen;
-  for (const auto& p : fam.paths()) {
+  for (wdag::paths::PathId id = 0; id < fam.size(); ++id) {
+    const auto p = fam.path(id);
     const auto key = std::make_pair(
         wdag::paths::path_source(*inst.graph, p),
         wdag::paths::path_target(*inst.graph, p));
@@ -142,7 +153,8 @@ TEST(FamilyGenTest, MulticastFromRoot) {
   const auto g = random_out_tree(rng, 25);
   const auto fam = multicast_family(g, 0);
   EXPECT_EQ(fam.size(), 24u);  // root reaches everyone in an out-tree
-  for (const auto& p : fam.paths()) {
+  for (wdag::paths::PathId id = 0; id < fam.size(); ++id) {
+    const auto p = fam.path(id);
     EXPECT_EQ(wdag::paths::path_source(g, p), 0u);
   }
 }
@@ -152,6 +164,62 @@ TEST(FamilyGenTest, RandomRequestsAreRoutable) {
   const auto g = random_layered_dag(rng, 4, 4, 0.4);
   const auto fam = random_request_family(rng, g, 25);
   EXPECT_EQ(fam.size(), 25u);
+}
+
+Digraph from_arcs(std::size_t n,
+                  const std::vector<std::pair<VertexId, VertexId>>& arcs) {
+  wdag::graph::DigraphBuilder b(n);
+  for (const auto& [u, v] : arcs) b.add_arc(u, v);
+  return b.build();
+}
+
+/// random_request_family as a closure scan plus one BFS per request: the
+/// reference its out-forest parent walk must reproduce.
+DipathFamily reference_requests(Xoshiro256& rng, const Digraph& g,
+                                std::size_t count) {
+  const auto closure = wdag::graph::transitive_closure(g);
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (u != v && closure[u].test(v)) pairs.emplace_back(u, v);
+    }
+  }
+  DipathFamily fam(g);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto [u, v] = pairs[rng.index(pairs.size())];
+    fam.add(*wdag::paths::shortest_route(g, u, v));
+  }
+  return fam;
+}
+
+TEST(FamilyGenTest, RandomRequestsMatchTheClosureAndBfsReference) {
+  Xoshiro256 shapes(12);
+  std::vector<Digraph> hosts;
+  for (int i = 0; i < 20; ++i) {
+    hosts.push_back(random_out_tree(shapes, 2 + shapes.index(30)));
+    hosts.push_back(random_in_tree(shapes, 2 + shapes.index(30)));
+    hosts.push_back(random_layered_dag(shapes, 4, 3, 0.5));
+  }
+  // An out-forest whose parents carry larger ids than their children,
+  // with two roots and an isolated vertex.
+  hosts.push_back(from_arcs(
+      7, {{5, 2}, {5, 4}, {2, 0}, {6, 3}, {3, 1}}));
+  // Every in-degree is 1 but the arcs close a directed cycle: not a
+  // forest, so the closure path routes it.
+  hosts.push_back(from_arcs(
+      4, {{0, 1}, {1, 2}, {2, 0}, {2, 3}}));
+  for (std::size_t h = 0; h < hosts.size(); ++h) {
+    const Digraph& g = hosts[h];
+    Xoshiro256 a(h), b(h);
+    const DipathFamily got = random_request_family(a, g, 25);
+    const DipathFamily want = reference_requests(b, g, 25);
+    ASSERT_EQ(got.size(), want.size()) << "host " << h;
+    for (PathId p = 0; p < got.size(); ++p) {
+      EXPECT_TRUE(std::ranges::equal(got.path(p), want.path(p)))
+          << "host " << h << " path " << p;
+    }
+    EXPECT_EQ(a(), b()) << "host " << h;
+  }
 }
 
 TEST(FamilyGenTest, InputValidation) {

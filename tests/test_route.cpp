@@ -79,7 +79,7 @@ TEST(RouteRequestsTest, UniquePolicyOnUppGraph) {
   const auto d1 = *g.vertex_by_name("d1");
   const auto fam = route_requests(g, {{a1, d1}}, RoutePolicy::kUnique);
   ASSERT_EQ(fam.size(), 1u);
-  EXPECT_EQ(fam.path(0).length(), 3u);
+  EXPECT_EQ(fam.path(0).size(), 3u);
 }
 
 TEST(RouteRequestsTest, ShortestPolicyOnAnyDag) {

@@ -1,5 +1,6 @@
-// Heap-allocation guard for the structural classification, the
-// split-merge recursion and the exact certifier.
+// Heap-allocation guard for instance generation, the load query, the
+// structural classification, the split-merge recursion and the exact
+// certifier.
 //
 // This binary replaces the global operator new/delete with counting
 // versions. After one warm-up solve per instance (which sizes the
@@ -10,12 +11,16 @@
 // its report returns: its Kahn in-degrees and union-find are per-thread.
 // Likewise a warm exact certification allocates only the coloring it
 // returns: its bound searches and k-search run in per-thread buffers.
+// Generating a random-upp instance allocates a few buffers of its flat
+// family (and, for a fresh out-tree, its host), not one vector per path;
+// pi counts into per-thread storage.
 // The count is deterministic; no wall clock is involved.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -27,6 +32,7 @@
 #include "gen/family_gen.hpp"
 #include "gen/paper_instances.hpp"
 #include "gen/upp_gen.hpp"
+#include "gen/workloads.hpp"
 #include "paths/family.hpp"
 #include "paths/load.hpp"
 #include "util/rng.hpp"
@@ -127,6 +133,51 @@ TEST(SplitMergeAllocTest, SteadyStateSolveAllocatesAConstant) {
         << "allocations=" << n << " paths=" << inst.family.size() << " levels=" << res.levels
         << " wavelengths=" << res.wavelengths << " load=" << res.load;
   }
+}
+
+/// Allocations of one workload_instance("random-upp") draw.
+std::size_t allocations_of_draw(const wdag::gen::WorkloadParams& params,
+                                wdag::util::Xoshiro256& rng,
+                                Instance& out) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  out = wdag::gen::workload_instance("random-upp", params, rng);
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(GenerationAllocTest, RandomUppDrawsAllocateTheirBuffersNotTheirPaths) {
+  const wdag::gen::WorkloadParams params;
+  wdag::util::Xoshiro256 rng(3);
+  Instance inst;
+  // Warm-up: every skeleton pool and fixed instance of the mix gets built.
+  for (int i = 0; i < 2'000; ++i) allocations_of_draw(params, rng, inst);
+
+  constexpr int kDraws = 20'000;
+  std::size_t total = 0, cached = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    const std::size_t n = allocations_of_draw(params, rng, inst);
+    total += n;
+    // A host shared with a per-thread pool or instance cache: only the
+    // family's buffers are new (36 allocations per draw before the
+    // family was stored flat).
+    if (inst.graph.use_count() > 1) {
+      ++cached;
+      EXPECT_LE(n, 4u) << "draw " << i << " paths=" << inst.family.size();
+    }
+  }
+  EXPECT_GT(cached, kDraws / 2);
+  const double mean = static_cast<double>(total) / kDraws;
+  EXPECT_LE(mean, 8.0);
+  std::printf("random-upp: %.2f allocations per draw (%zu of %d cached)\n",
+              mean, cached, kDraws);
+}
+
+TEST(LoadAllocTest, WarmMaxLoadAllocatesNothing) {
+  const auto havet = wdag::gen::havet_instance().replicate(3);
+  EXPECT_EQ(wdag::paths::max_load(havet.family), 6u);  // warm-up
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t pi = wdag::paths::max_load(havet.family);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(pi, 6u);
 }
 
 TEST(ClassifyAllocTest, WarmClassifyAllocatesOnlyItsReportVectors) {

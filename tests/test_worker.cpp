@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -260,6 +262,36 @@ TEST(WorkerDriveTest, DriveOverARemoteWorkerIsByteIdenticalUnderFaults) {
   EXPECT_TRUE(saw_checksum);
   EXPECT_TRUE(saw_drop);
   EXPECT_TRUE(saw_injected);
+}
+
+TEST(WorkerTest, SettleHealthProbesAnOutOfRotationWorkerAtOnce) {
+  // The first ping outlasts the probe timeout, so the worker goes out of
+  // rotation; the probe interval is far longer than the test, so only
+  // settle_health() can bring the next probe (which succeeds) forward.
+  remote::ShardWorkerHooks hooks;
+  hooks.slow_heartbeat_count = 1;
+  hooks.slow_heartbeat_ms = 1500;
+  TestWorker tw(hooks);
+  core::TcpTransport::Config config;
+  config.probe_interval_seconds = 3600.0;
+  config.probe_timeout_ms = 200;
+  config.probe_miss_budget = 1;
+  core::TcpTransport transport(tw.endpoint(), config);
+  while (transport.healthy()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  transport.settle_health();
+  EXPECT_TRUE(transport.healthy());
+  std::vector<std::string> kinds;
+  for (const core::ProbeEvent& e : transport.drain_probe_events()) {
+    kinds.push_back(e.kind == core::ProbeEvent::Kind::kMiss ? "miss"
+                    : e.kind == core::ProbeEvent::Kind::kUnhealthy
+                        ? "unhealthy"
+                        : "recovered");
+  }
+  EXPECT_EQ(kinds,
+            (std::vector<std::string>{"miss", "unhealthy", "recovered"}));
+  transport.settle_health();  // healthy: returns at once
 }
 
 TEST(WorkerDriveTest, StalledUnhealthyWorkerIsRedispatchedWithoutRetryCost) {
