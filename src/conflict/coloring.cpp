@@ -12,21 +12,6 @@ namespace {
 constexpr std::uint32_t kUncolored = UINT32_MAX;
 constexpr std::uint32_t kNoEntry = UINT32_MAX;
 
-/// Lazy-deletion entry of the DSATUR saturation queue.
-struct SatEntry {
-  std::uint32_t sat;
-  std::uint32_t deg;
-  std::uint32_t v;
-};
-
-/// Max-heap order: higher saturation first, then higher degree, then lower
-/// vertex id — exactly the scalar argmax's tie-breaking.
-bool operator<(const SatEntry& a, const SatEntry& b) {
-  if (a.sat != b.sat) return a.sat < b.sat;
-  if (a.deg != b.deg) return a.deg < b.deg;
-  return a.v > b.v;
-}
-
 /// Reusable buffers for the coloring kernels and validators. One instance
 /// per thread, so batch workers sweep a whole chunk of instances through
 /// the hot path without reallocating.
@@ -38,7 +23,11 @@ struct Scratch {
   std::vector<std::uint32_t> sorted;     ///< fallback for sparse color ids
   std::vector<std::uint64_t> sat_words;  ///< flat DSATUR saturation masks
   std::vector<std::uint32_t> sat_count;
-  std::vector<SatEntry> heap;
+  std::vector<std::uint32_t> rank;       ///< vertex -> DSATUR rank
+  std::vector<std::uint32_t> by_rank;    ///< DSATUR rank -> vertex
+  std::vector<std::uint32_t> deg_start;  ///< counting-sort cursors
+  std::vector<std::uint64_t> levels;     ///< per-saturation rank bitsets
+  std::vector<std::uint32_t> level_size;
 };
 
 Scratch& scratch() {
@@ -205,64 +194,98 @@ Coloring dsatur_coloring(const ConflictGraph& cg) {
   // Saturation masks are capped at max_degree + 1 bits: every assigned
   // color is at most its vertex's degree, so no neighbor color exceeds
   // max_degree. One flat buffer with a uniform word stride per vertex.
-  const std::size_t stride = (cg.max_degree() + 1 + 63) / 64;
+  const std::size_t max_deg = cg.max_degree();
+  const std::size_t stride = (max_deg + 1 + 63) / 64;
   s.sat_words.assign(n * stride, 0);
   s.sat_count.assign(n, 0);
 
-  // Saturation queue with lazy deletion: a vertex is re-pushed whenever
-  // its saturation grows, and stale entries (already colored, or an old
-  // saturation value) are discarded on pop. Total work is
-  // O((n + m) log n) instead of the scalar argmax's O(n) per step.
-  std::vector<SatEntry>& heap = s.heap;
-  heap.clear();
-  heap.reserve(n);
+  // Rank the vertices once by (degree desc, id asc): a counting sort over
+  // degrees in O(n + max_degree). deg_start[max_deg - d] is the next rank
+  // of degree d, and ids ascend within a degree because v ascends.
+  s.deg_start.assign(max_deg + 2, 0);
   for (std::size_t v = 0; v < n; ++v) {
-    heap.push_back(SatEntry{0, static_cast<std::uint32_t>(cg.degree(v)),
-                            static_cast<std::uint32_t>(v)});
+    ++s.deg_start[max_deg - cg.degree(v) + 1];
   }
-  std::make_heap(heap.begin(), heap.end());
+  for (std::size_t d = 1; d <= max_deg + 1; ++d) {
+    s.deg_start[d] += s.deg_start[d - 1];
+  }
+  s.rank.resize(n);
+  s.by_rank.resize(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::uint32_t r = s.deg_start[max_deg - cg.degree(v)]++;
+    s.rank[v] = r;
+    s.by_rank[r] = static_cast<std::uint32_t>(v);
+  }
+
+  // Saturation buckets: level L is a bitset over ranks holding the
+  // uncolored vertices of saturation L, and level_size[L] counts them;
+  // no level above `top` holds a vertex. The next vertex is the lowest
+  // set rank of the highest non-empty level, which is the fixed total
+  // order (saturation desc, degree desc, id asc). A pick scans at most
+  // ceil(n/64) words and a saturation increase moves one bit, so the
+  // whole run costs O(n * ceil(n/64) + m) word operations. Levels are
+  // added only as saturation rises. A vertex's saturation stays below
+  // the final color count (one that saw every color would need a new
+  // one), so there are at most `colors` levels.
+  const std::size_t words = (n + 63) / 64;
+  s.levels.assign(words, ~std::uint64_t{0});
+  if (n % 64 != 0) s.levels[words - 1] = (std::uint64_t{1} << (n % 64)) - 1;
+  s.level_size.assign(1, static_cast<std::uint32_t>(n));
+  std::size_t top = 0;
 
   for (std::size_t step = 0; step < n; ++step) {
-    SatEntry top{};
-    while (true) {
-      WDAG_ASSERT(!heap.empty(), "dsatur: saturation queue exhausted");
-      top = heap.front();
-      std::pop_heap(heap.begin(), heap.end());
-      heap.pop_back();
-      if (colors[top.v] == kUncolored && top.sat == s.sat_count[top.v]) break;
+    while (s.level_size[top] == 0) {
+      WDAG_ASSERT(top > 0, "dsatur: saturation buckets exhausted");
+      --top;
     }
-    const std::size_t best = top.v;
+    std::uint64_t* level = s.levels.data() + top * words;
+    std::size_t w = 0;
+    while (level[w] == 0) ++w;
+    const std::size_t r =
+        w * 64 + static_cast<std::size_t>(std::countr_zero(level[w]));
+    level[w] &= level[w] - 1;
+    --s.level_size[top];
+    const std::size_t best = s.by_rank[r];
 
     // First color absent from the saturation mask: one zero-scan.
-    const std::uint64_t* words = s.sat_words.data() + best * stride;
+    const std::uint64_t* sat = s.sat_words.data() + best * stride;
     std::uint32_t c = kUncolored;
-    for (std::size_t w = 0; w < stride; ++w) {
-      if (words[w] != ~std::uint64_t{0}) {
+    for (std::size_t sw = 0; sw < stride; ++sw) {
+      if (sat[sw] != ~std::uint64_t{0}) {
         c = static_cast<std::uint32_t>(
-            w * 64 + static_cast<std::size_t>(std::countr_one(words[w])));
+            sw * 64 + static_cast<std::size_t>(std::countr_one(sat[sw])));
         break;
       }
     }
     WDAG_ASSERT(c != kUncolored, "dsatur: no free color within the cap");
     colors[best] = c;
 
+    // Each uncolored neighbor that had not yet seen c moves its rank bit
+    // up one level.
     const auto& row = cg.neighbors(best);
     const std::uint64_t color_bit = std::uint64_t{1} << (c % 64);
-    for (std::size_t w = 0; w < row.num_words(); ++w) {
-      std::uint64_t bits = row.word(w);
+    for (std::size_t rw = 0; rw < row.num_words(); ++rw) {
+      std::uint64_t bits = row.word(rw);
       while (bits != 0) {
         const std::size_t q =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            rw * 64 + static_cast<std::size_t>(std::countr_zero(bits));
         bits &= bits - 1;
         if (colors[q] != kUncolored) continue;
         std::uint64_t& qword = s.sat_words[q * stride + c / 64];
-        if ((qword & color_bit) == 0) {
-          qword |= color_bit;
-          heap.push_back(SatEntry{++s.sat_count[q],
-                                  static_cast<std::uint32_t>(cg.degree(q)),
-                                  static_cast<std::uint32_t>(q)});
-          std::push_heap(heap.begin(), heap.end());
+        if ((qword & color_bit) != 0) continue;
+        qword |= color_bit;
+        const std::size_t from = s.sat_count[q]++;
+        if (from + 1 == s.level_size.size()) {
+          s.levels.resize(s.levels.size() + words, 0);
+          s.level_size.push_back(0);
         }
+        const std::size_t qr = s.rank[q];
+        const std::uint64_t rank_bit = std::uint64_t{1} << (qr % 64);
+        s.levels[from * words + qr / 64] &= ~rank_bit;
+        s.levels[(from + 1) * words + qr / 64] |= rank_bit;
+        --s.level_size[from];
+        ++s.level_size[from + 1];
+        top = std::max(top, from + 1);
       }
     }
   }

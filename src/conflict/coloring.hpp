@@ -36,7 +36,18 @@ Coloring greedy_coloring(const ConflictGraph& cg,
 Coloring greedy_coloring(const ConflictGraph& cg);
 
 /// DSATUR heuristic (Brélaz): repeatedly color the vertex with the highest
-/// color-saturation, breaking ties by degree then index.
+/// color-saturation, breaking ties by degree then index, with the lowest
+/// color absent from its neighbors.
+///
+/// The vertices are ranked once by (degree desc, id asc). Each saturation
+/// level keeps a bitset over ranks of its uncolored vertices, so the next
+/// vertex is the lowest set rank of the highest non-empty level, and a
+/// saturation increase moves one bit up one level. That takes
+/// O(n * ceil(n/64) + m) word operations, the cost of reading the
+/// adjacency rows once, with no priority queue. The levels take at most
+/// colors * ceil(n/64) words, beside n * ceil((max_degree + 1)/64) words
+/// of saturation masks; all of it is per-thread scratch, so a warm call
+/// allocates only the returned coloring.
 Coloring dsatur_coloring(const ConflictGraph& cg);
 
 }  // namespace wdag::conflict

@@ -1,6 +1,7 @@
 #include "gen/paper_instances.hpp"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -64,7 +65,7 @@ Instance figure1_pathological(std::size_t k) {
       if (!is_shared) b.add_arc(from, to);
     }
   }
-  Instance inst = Instance::over(b.build());
+  Instance inst = Instance::over(std::move(b).build());
   for (std::size_t i = 0; i < k; ++i) inst.family.add_through(route[i]);
   return inst;
 }
@@ -79,7 +80,7 @@ Instance figure3_instance() {
   b.add_arc(c, d);
   b.add_arc(d, e);
   const graph::ArcId chord = b.add_arc(v_b, d);  // the second b -> d route
-  Instance inst = Instance::over(b.build());
+  Instance inst = Instance::over(std::move(b).build());
   const auto& g = *inst.graph;
   inst.family.add_through({a, v_b, c});
   inst.family.add_through({v_b, c, d});
@@ -112,7 +113,7 @@ Instance theorem2_instance(std::size_t k) {
     arc_a[i] = bld.add_arc(vb[i], vc[i]);
     arc_b[i] = bld.add_arc(vb[i], vc[(i + k - 1) % k]);
   }
-  Instance inst = Instance::over(bld.build());
+  Instance inst = Instance::over(std::move(bld).build());
   // Family (conflict graph C_{2k+1}):
   //   P_head = a_1 + A_1                      (no d endpoint)
   //   P_neck = A_1 + d_1
@@ -150,7 +151,7 @@ Instance havet_instance() {
   bld.add_arc(c1, d1p);
   bld.add_arc(c2, d2);
   bld.add_arc(c2, d2p);
-  Instance inst = Instance::over(bld.build());
+  Instance inst = Instance::over(std::move(bld).build());
   // Conflict graph = V8: with paths indexed 0..7, the a-arcs pair
   // (0,1)(2,3)(4,5)(6,7), the middle arcs pair the antipodes
   // (0,4)(1,5)(2,6)(3,7), and the d-arcs pair (1,2)(3,4)(5,6)(7,0).

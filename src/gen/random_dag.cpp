@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "dag/internal_cycle.hpp"
 #include "util/check.hpp"
@@ -34,25 +35,27 @@ Digraph random_layered_dag(util::Xoshiro256& rng, std::size_t layers,
       }
     }
   }
-  return b.build();
+  return std::move(b).build();
 }
 
 Digraph random_out_tree(util::Xoshiro256& rng, std::size_t n) {
   WDAG_REQUIRE(n >= 1, "random_out_tree: need at least one vertex");
   DigraphBuilder b(n);
+  b.reserve_arcs(n - 1);
   for (VertexId v = 1; v < n; ++v) {
     b.add_arc(static_cast<VertexId>(rng.below(v)), v);
   }
-  return b.build();
+  return std::move(b).build();
 }
 
 Digraph random_in_tree(util::Xoshiro256& rng, std::size_t n) {
   WDAG_REQUIRE(n >= 1, "random_in_tree: need at least one vertex");
   DigraphBuilder b(n);
+  b.reserve_arcs(n - 1);
   for (VertexId v = 1; v < n; ++v) {
     b.add_arc(v, static_cast<VertexId>(rng.below(v)));
   }
-  return b.build();
+  return std::move(b).build();
 }
 
 Digraph random_dag(util::Xoshiro256& rng, std::size_t n, double p) {
@@ -66,7 +69,7 @@ Digraph random_dag(util::Xoshiro256& rng, std::size_t n, double p) {
       if (rng.chance(p)) b.add_arc(label[u], label[v]);
     }
   }
-  return b.build();
+  return std::move(b).build();
 }
 
 Digraph random_no_internal_cycle_dag(util::Xoshiro256& rng, std::size_t n,
@@ -83,7 +86,7 @@ Digraph random_no_internal_cycle_dag(util::Xoshiro256& rng, std::size_t n,
     for (graph::ArcId a = 0; a < g.num_arcs(); ++a) {
       if (a != doomed) b.add_arc(g.tail(a), g.head(a));
     }
-    g = b.build();
+    g = std::move(b).build();
   }
 }
 

@@ -1,6 +1,7 @@
 #include "gen/topologies.hpp"
 
 #include <string>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -29,7 +30,7 @@ Digraph butterfly(std::size_t k) {
       b.add_arc(vid(level, x), vid(level + 1, x ^ (std::size_t{1} << level)));  // cross
     }
   }
-  return b.build();
+  return std::move(b).build();
 }
 
 Digraph grid_dag(std::size_t rows, std::size_t cols) {
@@ -44,7 +45,7 @@ Digraph grid_dag(std::size_t rows, std::size_t cols) {
       if (i + 1 < rows) b.add_arc(vid(i, j), vid(i + 1, j));  // down
     }
   }
-  return b.build();
+  return std::move(b).build();
 }
 
 Digraph fat_chain(std::size_t stages, std::size_t width) {
@@ -65,7 +66,7 @@ Digraph fat_chain(std::size_t stages, std::size_t width) {
   }
   const VertexId exit = b.add_vertex("exit");
   b.add_arc(prev, exit);
-  return b.build();
+  return std::move(b).build();
 }
 
 Digraph spine_with_leaves(std::size_t n) {
@@ -80,7 +81,7 @@ Digraph spine_with_leaves(std::size_t n) {
     }
     prev = cur;
   }
-  return b.build();
+  return std::move(b).build();
 }
 
 }  // namespace wdag::gen

@@ -1,6 +1,7 @@
 #include "gen/upp_gen.hpp"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/reachability.hpp"
@@ -78,7 +79,7 @@ Gadget emit_gadget(DigraphBuilder& b, const UppCycleParams& p,
 Instance upp_one_cycle_skeleton(const UppCycleParams& params) {
   DigraphBuilder b;
   emit_gadget(b, params, "");
-  return Instance::over(b.build());
+  return Instance::over(std::move(b).build());
 }
 
 Instance random_upp_one_cycle_instance(util::Xoshiro256& rng,
@@ -119,7 +120,7 @@ Instance upp_multi_cycle_skeleton(std::size_t cycles,
     }
     prev = cur;
   }
-  return Instance::over(b.build());
+  return Instance::over(std::move(b).build());
 }
 
 }  // namespace wdag::gen

@@ -1,6 +1,7 @@
 #include "graph/digraph.hpp"
 
 #include <unordered_map>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -56,19 +57,34 @@ ArcId DigraphBuilder::add_arc(const std::string& u, const std::string& v) {
   return add_arc(a, b);
 }
 
-Digraph DigraphBuilder::build() const {
+Digraph DigraphBuilder::build() const& {
   Digraph g;
   build_into(g);
+  return g;
+}
+
+Digraph DigraphBuilder::build() && {
+  Digraph g;
+  g.arcs_ = std::move(arcs_);
+  g.names_ = std::move(names_);
+  arcs_.clear();
+  names_.clear();
+  index(g);
   return g;
 }
 
 void DigraphBuilder::build_into(Digraph& g) const {
   g.arcs_.assign(arcs_.begin(), arcs_.end());
   g.names_.assign(names_.begin(), names_.end());
-  const std::size_t n = names_.size();
+  index(g);
+}
+
+void DigraphBuilder::index(Digraph& g) {
+  const std::vector<Arc>& arcs = g.arcs_;
+  const std::size_t n = g.names_.size();
   g.out_begin_.assign(n + 1, 0);
   g.in_begin_.assign(n + 1, 0);
-  for (const Arc& a : arcs_) {
+  for (const Arc& a : arcs) {
     ++g.out_begin_[a.tail + 1];
     ++g.in_begin_[a.head + 1];
   }
@@ -76,13 +92,13 @@ void DigraphBuilder::build_into(Digraph& g) const {
     g.out_begin_[v + 1] += g.out_begin_[v];
     g.in_begin_[v + 1] += g.in_begin_[v];
   }
-  g.out_list_.resize(arcs_.size());
-  g.in_list_.resize(arcs_.size());
+  g.out_list_.resize(arcs.size());
+  g.in_list_.resize(arcs.size());
   // Fill with the begin tables as cursors: afterwards begin[v] holds the
   // old begin[v + 1], so shift them back by one.
-  for (ArcId id = 0; id < arcs_.size(); ++id) {
-    g.out_list_[g.out_begin_[arcs_[id].tail]++] = id;
-    g.in_list_[g.in_begin_[arcs_[id].head]++] = id;
+  for (ArcId id = 0; id < arcs.size(); ++id) {
+    g.out_list_[g.out_begin_[arcs[id].tail]++] = id;
+    g.in_list_[g.in_begin_[arcs[id].head]++] = id;
   }
   for (std::size_t v = n; v-- > 1;) {
     g.out_begin_[v] = g.out_begin_[v - 1];

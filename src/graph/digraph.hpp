@@ -142,6 +142,10 @@ class DigraphBuilder {
   /// Number of arcs added so far.
   [[nodiscard]] std::size_t num_arcs() const { return arcs_.size(); }
 
+  /// Reserves room for m arcs, so a generator that knows its arc count
+  /// grows the arc vector once.
+  void reserve_arcs(std::size_t m) { arcs_.reserve(m); }
+
   /// Empties the builder down to n unnamed vertices, keeping its storage
   /// (the split-merge recursion rebuilds one graph per level).
   void reset(std::size_t n) {
@@ -151,12 +155,19 @@ class DigraphBuilder {
   }
 
   /// Freezes the builder into an immutable Digraph.
-  [[nodiscard]] Digraph build() const;
+  [[nodiscard]] Digraph build() const&;
+
+  /// Freezes a builder that is done with: moves its arcs and names into
+  /// the Digraph instead of copying them, and leaves the builder empty.
+  [[nodiscard]] Digraph build() &&;
 
   /// build(), into `out`, reusing its storage.
   void build_into(Digraph& out) const;
 
  private:
+  /// Fills g's incidence tables from its arcs and its vertex count.
+  static void index(Digraph& g);
+
   void ensure_vertex(VertexId v) {
     if (v == kNoVertex) return;
     if (names_.size() <= v) names_.resize(static_cast<std::size_t>(v) + 1);

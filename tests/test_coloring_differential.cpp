@@ -220,6 +220,87 @@ TEST(ColoringDifferentialTest, EveryIsaTierIsByteIdenticalOnEveryFamily) {
   simd::set_active_tier(original);
 }
 
+/// DSATUR under every reachable ISA tier against the scalar reference.
+/// `make` builds the graph afresh under the active tier, so the rows are
+/// the tier's own too.
+void expect_dsatur_matches_reference_at_every_tier(
+    const std::function<ConflictGraph()>& make, const std::string& label) {
+  namespace simd = util::simd;
+  const simd::IsaTier original = simd::active_tier();
+  simd::set_active_tier(simd::IsaTier::kScalar);
+  const Coloring ref = reference_dsatur(make());
+  for (const simd::IsaTier tier : simd::reachable_tiers()) {
+    simd::set_active_tier(tier);
+    EXPECT_EQ(conflict::dsatur_coloring(make()), ref)
+        << label << " tier=" << simd::tier_name(tier);
+  }
+  simd::set_active_tier(original);
+}
+
+/// G(n, p) edge list drawn from rng.
+std::vector<std::pair<std::size_t, std::size_t>> gnp_edges(std::size_t n,
+                                                           double p,
+                                                           Xoshiro256& rng) {
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = u + 1; v < n; ++v) {
+      if (rng.chance(p)) edges.emplace_back(u, v);
+    }
+  }
+  return edges;
+}
+
+// The rank bitsets span ceil(n/64) words, and K_n needs n saturation
+// levels: sizes on both sides of one and two words, and past 64 levels.
+TEST(ColoringDifferentialTest, DsaturMatchesReferenceAcrossRankWords) {
+  Xoshiro256 rng(0x5A7B);
+  for (const std::size_t n : {63u, 64u, 65u, 130u, 200u}) {
+    std::vector<std::pair<std::size_t, std::size_t>> complete, star;
+    for (std::size_t u = 0; u < n; ++u) {
+      for (std::size_t v = u + 1; v < n; ++v) complete.emplace_back(u, v);
+    }
+    // The center is the last id but the first rank.
+    for (std::size_t v = 0; v + 1 < n; ++v) star.emplace_back(v, n - 1);
+    const std::vector<std::pair<
+        std::string, std::vector<std::pair<std::size_t, std::size_t>>>>
+        graphs = {{"complete", complete},
+                  {"edgeless", {}},
+                  {"star", star},
+                  {"sparse", gnp_edges(n, 0.05, rng)},
+                  {"dense", gnp_edges(n, 0.7, rng)}};
+    for (const auto& [name, edges] : graphs) {
+      expect_dsatur_matches_reference_at_every_tier(
+          [&, &edges = edges] { return ConflictGraph(n, edges); },
+          name + " n=" + std::to_string(n));
+    }
+  }
+}
+
+// The conflict-batch DSATUR hosts at their benchmark sizes, and a
+// fat-chain whose 130 paths need three rank words.
+TEST(ColoringDifferentialTest, DsaturMatchesReferenceOnConflictBatchHosts) {
+  gen::WorkloadParams grid;
+  grid.rows = 6;
+  grid.cols = 8;
+  grid.paths = 64;
+  gen::WorkloadParams wide_chain;
+  wide_chain.paths = 130;
+  const std::vector<std::pair<std::string, gen::WorkloadParams>> hosts = {
+      {"fat-chain", gen::WorkloadParams{}},
+      {"grid", grid},
+      {"fat-chain", wide_chain}};
+  for (const auto& [name, params] : hosts) {
+    Xoshiro256 rng(0xC0B + params.paths);
+    for (int round = 0; round < 6; ++round) {
+      const gen::Instance inst = gen::workload_instance(name, params, rng);
+      expect_dsatur_matches_reference_at_every_tier(
+          [&] { return ConflictGraph(inst.family); },
+          name + " paths=" + std::to_string(inst.family.size()) +
+              " round=" + std::to_string(round));
+    }
+  }
+}
+
 TEST(ColoringDifferentialTest, NormalizeAndCountMatchReference) {
   Xoshiro256 rng(99);
   for (int round = 0; round < 50; ++round) {

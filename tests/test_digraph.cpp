@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "graph/digraph.hpp"
 #include "helpers.hpp"
 #include "util/check.hpp"
@@ -66,6 +69,28 @@ TEST(DigraphBuilderTest, NamedArcAddition) {
   const Digraph g = b.build();
   EXPECT_EQ(g.num_vertices(), 3u);
   EXPECT_EQ(g.num_arcs(), 2u);
+}
+
+TEST(DigraphBuilderTest, RvalueBuildMatchesCopyingBuild) {
+  DigraphBuilder b;
+  b.add_arc("x", "y");
+  b.add_arc("y", "z");
+  b.add_arc("x", "y");  // parallel
+  b.add_arc(0, 5);      // implicit unnamed vertices 3..5
+  const Digraph copied = b.build();
+  const Digraph moved = std::move(b).build();
+  ASSERT_EQ(moved.num_vertices(), copied.num_vertices());
+  EXPECT_EQ(moved.arcs(), copied.arcs());
+  for (wdag::graph::VertexId v = 0; v < moved.num_vertices(); ++v) {
+    EXPECT_EQ(moved.vertex_name(v), copied.vertex_name(v));
+    EXPECT_TRUE(std::ranges::equal(moved.out_arcs(v), copied.out_arcs(v)));
+    EXPECT_TRUE(std::ranges::equal(moved.in_arcs(v), copied.in_arcs(v)));
+  }
+  // The moved-from builder is empty and can be used again.
+  EXPECT_EQ(b.num_vertices(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.num_arcs(), 0u);
+  b.add_arc(0, 1);
+  EXPECT_EQ(std::move(b).build().num_arcs(), 1u);
 }
 
 TEST(DigraphTest, AdjacencyLists) {

@@ -10,19 +10,23 @@
 // internal cycles. A warm dag::classify allocates only the two vectors
 // its report returns: its Kahn in-degrees and union-find are per-thread.
 // Likewise a warm exact certification allocates only the coloring it
-// returns: its bound searches and k-search run in per-thread buffers.
+// returns: its bound searches and k-search run in per-thread buffers. So
+// does a warm DSATUR: its ranks and saturation buckets are per-thread.
 // Generating a random-upp instance allocates a few buffers of its flat
 // family (and, for a fresh out-tree, its host), not one vector per path;
-// pi counts into per-thread storage.
+// a fresh out-tree moves its builder's buffers into the host instead of
+// copying them; pi counts into per-thread storage.
 // The count is deterministic; no wall clock is involved.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "conflict/coloring.hpp"
@@ -65,6 +69,9 @@ using wdag::gen::UppCycleParams;
 /// returned coloring. (Before the per-depth arena this family took
 /// 599-8,964 allocations per solve.)
 constexpr std::size_t kMaxSteadyAllocations = 1;
+
+/// Heap allocations a warm workload_instance("tree") draw may make.
+constexpr std::size_t kMaxTreeDrawAllocations = 12;
 
 /// Multi-cycle UPP skeletons (2-4 internal cycles): the small gadget's
 /// all-to-all family, and random request families with repeated routes
@@ -171,6 +178,33 @@ TEST(GenerationAllocTest, RandomUppDrawsAllocateTheirBuffersNotTheirPaths) {
               mean, cached, kDraws);
 }
 
+TEST(GenerationAllocTest, TreeDrawsMoveTheirHostIntoPlace) {
+  const wdag::gen::WorkloadParams params;
+  wdag::util::Xoshiro256 rng(5);
+  Instance inst;
+  for (int i = 0; i < 200; ++i) {
+    inst = wdag::gen::workload_instance("tree", params, rng);
+  }
+
+  constexpr int kDraws = 10'000;
+  std::size_t total = 0, most = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    inst = wdag::gen::workload_instance("tree", params, rng);
+    const std::size_t n =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    total += n;
+    most = std::max(most, n);
+  }
+  // A fresh out-tree per draw: its builder's names and reserved arcs,
+  // moved into the Digraph with its four incidence tables, the host's
+  // shared block, and the family's buffers. (19 per draw when the
+  // builder's arcs grew unreserved and build() copied arcs and names.)
+  EXPECT_LE(most, kMaxTreeDrawAllocations);
+  std::printf("tree: %.2f allocations per draw, at most %zu\n",
+              static_cast<double>(total) / kDraws, most);
+}
+
 TEST(LoadAllocTest, WarmMaxLoadAllocatesNothing) {
   const auto havet = wdag::gen::havet_instance().replicate(3);
   EXPECT_EQ(wdag::paths::max_load(havet.family), 6u);  // warm-up
@@ -237,6 +271,48 @@ TEST(ExactCertifyAllocTest, WarmCertificationAllocatesOnlyItsColoring) {
   EXPECT_TRUE(res.proven);
   EXPECT_EQ(res.chromatic_number, 4u);
   EXPECT_GT(res.nodes, 0u);
+}
+
+/// Allocations of one dsatur_coloring call on cg.
+std::size_t allocations_of_dsatur(const wdag::conflict::ConflictGraph& cg,
+                                  wdag::conflict::Coloring& out) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  out = wdag::conflict::dsatur_coloring(cg);
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(DsaturAllocTest, WarmDsaturAllocatesOnlyItsColoring) {
+  // The conflict-batch grid host (64 paths, one rank word) and a
+  // 200-vertex G(n, 1/2) (four rank words, dozens of saturation levels).
+  wdag::gen::WorkloadParams params;
+  params.rows = 6;
+  params.cols = 8;
+  params.paths = 64;
+  wdag::util::Xoshiro256 rng(17);
+  const Instance grid = wdag::gen::workload_instance("grid", params, rng);
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  for (std::size_t u = 0; u < 200; ++u) {
+    for (std::size_t v = u + 1; v < 200; ++v) {
+      if (rng.chance(0.5)) edges.emplace_back(u, v);
+    }
+  }
+  const std::vector<wdag::conflict::ConflictGraph> graphs = [&] {
+    std::vector<wdag::conflict::ConflictGraph> g;
+    g.emplace_back(grid.family);
+    g.emplace_back(200, edges);
+    return g;
+  }();
+
+  wdag::conflict::Coloring colors;
+  // Warm-up: the per-thread rank, saturation and level buffers grow to
+  // the larger graph.
+  for (const auto& cg : graphs) allocations_of_dsatur(cg, colors);
+  for (const auto& cg : graphs) {
+    EXPECT_EQ(allocations_of_dsatur(cg, colors), 1u) << "n=" << cg.size();
+    EXPECT_TRUE(wdag::conflict::is_valid_coloring(cg, colors));
+    EXPECT_EQ(colors.size(), cg.size());
+  }
+  EXPECT_EQ(graphs[0].size(), 64u);
 }
 
 }  // namespace
