@@ -23,9 +23,59 @@ namespace {
 
 constexpr std::uint32_t kNone = UINT32_MAX;
 
-/// Arc -> path-ids inverted index for fast fit queries, in flat CSR form
-/// (members of arc a at ids[offsets[a] .. offsets[a+1]), in path order).
-/// Rebuilt in place, so one index serves every level and instance.
+/// Paths per (arc, color) of one assignment: cells[a * stride + c]. The
+/// fix-up and the color-class descent read a fits test off it in O(|p|)
+/// instead of walking every member of p's arcs. Rebuilt in place, so one
+/// table serves every level and instance.
+struct ColorCounts {
+  std::size_t stride = 0;
+  std::vector<std::uint32_t> cells;
+
+  /// Counts the first `n` paths of `ps` under `color` on a host with
+  /// `num_arcs` arcs, with room for colors 0 .. colors - 1. Returns the
+  /// lowest arc that holds two paths of one color, or kNone.
+  std::uint32_t build(std::size_t num_arcs, const FlatFamily& ps,
+                      std::size_t n, std::span<const std::uint32_t> color,
+                      std::size_t colors) {
+    stride = colors;
+    cells.assign(num_arcs * stride, 0);
+    std::uint32_t first = kNone;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      for (const ArcId a : ps.path(i)) {
+        if (++cells[a * stride + color[i]] == 2) first = std::min(first, a);
+      }
+    }
+    return first;
+  }
+
+  /// Paths of color c on arc a.
+  [[nodiscard]] std::uint32_t at(ArcId a, std::uint32_t c) const {
+    return cells[a * stride + c];
+  }
+
+  /// True when a path on `arcs`, now colored `own`, can take color c
+  /// without sharing an arc with another path of color c.
+  [[nodiscard]] bool fits(std::span<const ArcId> arcs, std::uint32_t own,
+                          std::uint32_t c) const {
+    const std::uint32_t self = own == c ? 1 : 0;
+    for (const ArcId a : arcs) {
+      if (at(a, c) != self) return false;
+    }
+    return true;
+  }
+
+  /// Recounts a path on `arcs` from color `from` to color `to`.
+  void move(std::span<const ArcId> arcs, std::uint32_t from, std::uint32_t to) {
+    for (const ArcId a : arcs) {
+      --cells[a * stride + from];
+      ++cells[a * stride + to];
+    }
+  }
+};
+
+/// Arc -> path-ids inverted index in flat CSR form (members of arc a at
+/// ids[offsets[a] .. offsets[a+1]), in path order). The fix-up builds it
+/// only when its count table shows a conflict.
 struct ConflictIndex {
   std::vector<std::uint32_t> offsets, cursor, ids;
 
@@ -42,36 +92,26 @@ struct ConflictIndex {
     }
   }
 
-  /// True when recoloring path `victim` to `c` keeps the assignment locally
-  /// valid (no same-color path shares an arc with it).
-  [[nodiscard]] bool fits(const FlatFamily& ps,
-                          const std::vector<std::uint32_t>& color,
-                          std::size_t victim, std::uint32_t c) const {
-    for (const ArcId a : ps.path(static_cast<std::uint32_t>(victim))) {
-      for (std::uint32_t e = offsets[a]; e < offsets[a + 1]; ++e) {
-        const std::size_t q = ids[e];
-        if (q != victim && q < color.size() && color[q] == c) return false;
-      }
-    }
-    return true;
-  }
-
   /// First conflicting same-color pair (arc ascending, members in path
-  /// order), or false when the coloring is valid.
-  [[nodiscard]] bool first_conflict(const std::vector<std::uint32_t>& color,
-                                    std::size_t& p, std::size_t& q) const {
-    for (std::size_t a = 0; a + 1 < offsets.size(); ++a) {
+  /// order) on the arcs from `a` on: returns its arc and sets p < q, or
+  /// returns kNone. The first member whose color `counts` holds twice on
+  /// the arc is the first of that color there, so it opens the pair.
+  [[nodiscard]] std::uint32_t first_conflict(
+      std::uint32_t a, const ColorCounts& counts,
+      const std::vector<std::uint32_t>& color, std::size_t& p,
+      std::size_t& q) const {
+    for (; a + 1 < offsets.size(); ++a) {
       for (std::uint32_t i = offsets[a]; i < offsets[a + 1]; ++i) {
-        for (std::uint32_t j = i + 1; j < offsets[a + 1]; ++j) {
-          if (color[ids[i]] == color[ids[j]]) {
-            p = ids[i];
-            q = ids[j];
-            return true;
-          }
-        }
+        const std::uint32_t c = color[ids[i]];
+        if (counts.at(a, c) < 2) continue;
+        std::uint32_t j = i + 1;
+        while (color[ids[j]] != c) ++j;
+        p = ids[i];
+        q = ids[j];
+        return a;
       }
     }
-    return false;
+    return kNone;
   }
 };
 
@@ -103,16 +143,16 @@ struct Level {
 struct Arena {
   std::deque<Level> levels;  // deque: growing keeps references valid
   dag::OrientedCycle cycle;
-  graph::DigraphBuilder builder;
-  std::vector<std::size_t> loads;
+  std::vector<std::size_t> loads;  ///< arc loads of the level being split
   Theorem1Result leaf;
   std::vector<VertexId> leaf_order;  ///< Kahn order of the bottom split graph
   std::vector<std::uint32_t> indeg;
   std::vector<std::uint32_t> by_head_color;
   std::vector<std::uint8_t> seen, merged;
+  ColorCounts counts;
   ConflictIndex index;
   std::vector<std::size_t> usage;
-  std::vector<std::uint32_t> classes, attempt;
+  std::vector<std::uint32_t> classes, moved;
 
   Level& level(std::size_t d) {
     while (levels.size() <= d) levels.emplace_back();
@@ -133,11 +173,11 @@ std::size_t loads_of_into(const Level& lv, std::vector<std::size_t>& loads) {
 }
 
 /// Splits `cur` along the maximum-load arc of ar.cycle into `next`: pads
-/// cur's family up to `pi` on that arc, builds the split graph, carries the
-/// internal-arc list down, and cuts the padded family into next's family.
+/// cur's family up to `pi` on that arc, derives the split graph from cur's,
+/// carries the internal-arc list and the loads down, and cuts the padded
+/// family into next's family.
 void split_level(Arena& ar, Level& cur, Level& next, std::size_t pi) {
-  const Digraph& g = *cur.graph;
-  const auto& loads = ar.loads;
+  auto& loads = ar.loads;
 
   // Split arc: maximum load among the cycle's arcs (paper's choice).
   ArcId ab = graph::kNoArc;
@@ -152,22 +192,11 @@ void split_level(Arena& ar, Level& cur, Level& next, std::size_t pi) {
 
   // The split graph: (a,b) becomes (a,s) and (t,b); every other arc keeps
   // its relative order, so arc e > ab is renumbered e - 1.
-  const auto& g_arcs = g.arcs();
-  const VertexId a = g_arcs[ab].tail;
-  const VertexId b = g_arcs[ab].head;
-  const VertexId n = static_cast<VertexId>(g.num_vertices());
-  graph::DigraphBuilder& builder = ar.builder;
-  builder.reset(g.num_vertices());
-  for (ArcId e = 0; e < g.num_arcs(); ++e) {
-    if (e != ab) builder.add_arc(g_arcs[e].tail, g_arcs[e].head);
-  }
-  const VertexId s = builder.add_vertex("split_s");
-  const VertexId t = builder.add_vertex("split_t");
-  WDAG_ASSERT(s == n && t == n + 1, "split_merge: unexpected split vertex ids");
-  const ArcId arc_as = builder.add_arc(a, s);
-  const ArcId arc_tb = builder.add_arc(t, b);
-  builder.build_into(next.split);
+  const std::size_t m = cur.graph->num_arcs();
+  graph::DigraphBuilder::split_into(*cur.graph, ab, next.split);
   next.graph = &next.split;
+  const auto arc_as = static_cast<ArcId>(m - 1);
+  const auto arc_tb = static_cast<ArcId>(m);
   const auto renumber = [ab](ArcId e) { return e > ab ? e - 1 : e; };
 
   // s is a sink and t a source, while a and b keep their degrees: the
@@ -177,31 +206,46 @@ void split_level(Arena& ar, Level& cur, Level& next, std::size_t pi) {
     if (e != ab) next.internal.push_back(renumber(e));
   }
 
+  // The padded (a,b) carries pi paths, and each leaves a head on (a,s) and
+  // a tail on (t,b); every other load moves with its arc. So pi is every
+  // level's load.
+  loads.erase(loads.begin() + ab);
+  loads.push_back(pi);
+  loads.push_back(pi);
+
   // Transform the padded family: every path through (a,b) contributes a
-  // head [x..a,s] and a tail [t,b..y], every other path its image.
+  // head [x..a,s] and a tail [t,b..y], every other path its image. A path
+  // gains at most one arc and splits in at most two, so both buffers are
+  // sized once up front and trimmed after.
+  const FlatFamily& src = cur.family;
+  const std::size_t padded = src.size();
   FlatFamily& sub = next.family;
-  sub.clear();
-  cur.image.resize(cur.family.size());
+  sub.arcs.resize(src.arcs.size() + padded);
+  sub.offsets.resize(2 * padded + 1);
+  ArcId* const out = sub.arcs.data();
+  std::uint32_t w = 0, np = 0;
+  cur.image.resize(padded);
   cur.pairs.clear();
-  for (std::uint32_t i = 0; i < cur.family.size(); ++i) {
-    const auto arcs = cur.family.path(i);
-    const auto it = std::find(arcs.begin(), arcs.end(), ab);
-    if (it == arcs.end()) {
-      for (const ArcId e : arcs) sub.push_arc(renumber(e));
-      sub.end_path();
-      cur.image[i] = static_cast<std::uint32_t>(sub.size() - 1);
+  for (std::uint32_t i = 0; i < padded; ++i) {
+    const ArcId* p = src.arcs.data() + src.offsets[i];
+    const ArcId* const last = src.arcs.data() + src.offsets[i + 1];
+    const ArcId* const cut = std::find(p, last, ab);
+    for (; p != cut; ++p) out[w++] = renumber(*p);
+    if (cut == last) {
+      cur.image[i] = np;
+      sub.offsets[++np] = w;
       continue;
     }
     cur.image[i] = kNone;
-    for (auto jt = arcs.begin(); jt != it; ++jt) sub.push_arc(renumber(*jt));
-    sub.push_arc(arc_as);
-    sub.end_path();
-    sub.push_arc(arc_tb);
-    for (auto jt = it + 1; jt != arcs.end(); ++jt) sub.push_arc(renumber(*jt));
-    sub.end_path();
-    const auto tail_id = static_cast<std::uint32_t>(sub.size() - 1);
-    cur.pairs.push_back(SplitPair{i, tail_id - 1, tail_id});
+    out[w++] = arc_as;
+    sub.offsets[++np] = w;
+    out[w++] = arc_tb;
+    for (p = cut + 1; p != last; ++p) out[w++] = renumber(*p);
+    sub.offsets[++np] = w;
+    cur.pairs.push_back(SplitPair{i, np - 2, np - 1});
   }
+  sub.arcs.resize(w);
+  sub.offsets.resize(std::size_t{np} + 1);
   WDAG_ASSERT(cur.pairs.size() == pi || pi == 0,
               "split_merge: split count must equal the padded load");
 }
@@ -274,29 +318,38 @@ void merge_level(Arena& ar, Level& lv, std::span<const std::uint32_t> sub,
   merged.assign(padded, 0);
   for (const SplitPair& pr : lv.pairs) merged[pr.orig] = 1;
 
-  ConflictIndex& index = ar.index;
-  index.build(lv.graph->num_arcs(), lv.family, padded);
-  std::size_t p = 0, q = 0;
-  while (index.first_conflict(color, p, q)) {
-    // Exactly one side should be a rejoined dipath; never recolor it (its
-    // color is pinned by the merge). With replicated copies both sides can
-    // be rejoined only if the merge produced duplicates, which the
-    // head-distinctness assert above excludes.
-    WDAG_ASSERT(!(merged[p] && merged[q]),
-                "split_merge: two rejoined dipaths collide");
-    const std::size_t victim = merged[p] ? q : p;
-    ++res.fixups;
-    bool placed = false;
-    for (std::uint32_t c = 0; c <= max_color && !placed; ++c) {
-      if (index.fits(lv.family, color, victim, c)) {
-        color[victim] = c;
-        placed = true;
+  // A victim is recolored to a color that fits, so it never conflicts
+  // again: each padded path is a victim at most once, and the palette
+  // grows by at most `padded` fresh colors. A recolor never creates a
+  // conflict either, so every arc before the last conflict's stays clean
+  // and the scan resumes at that arc, keeping the victim order of a scan
+  // from arc 0. A merge without a conflict never builds the index.
+  ColorCounts& counts = ar.counts;
+  std::uint32_t at = counts.build(lv.graph->num_arcs(), lv.family, padded,
+                                  color, std::size_t{max_color} + 1 + padded);
+  if (at != kNone) {
+    ConflictIndex& index = ar.index;
+    index.build(lv.graph->num_arcs(), lv.family, padded);
+    std::size_t p = 0, q = 0;
+    while ((at = index.first_conflict(at, counts, color, p, q)) != kNone) {
+      // Exactly one side should be a rejoined dipath; never recolor it (its
+      // color is pinned by the merge). With replicated copies both sides
+      // can be rejoined only if the merge produced duplicates, which the
+      // head-distinctness assert above excludes.
+      WDAG_ASSERT(!(merged[p] && merged[q]),
+                  "split_merge: two rejoined dipaths collide");
+      const std::size_t victim = merged[p] ? q : p;
+      ++res.fixups;
+      const auto arcs = lv.family.path(static_cast<std::uint32_t>(victim));
+      std::uint32_t c = 0;
+      while (c <= max_color && !counts.fits(arcs, color[victim], c)) ++c;
+      if (c > max_color) {
+        c = ++max_color;
+        WDAG_ASSERT(c < counts.stride,
+                    "split_merge: a dipath was a fix-up victim twice");
       }
-    }
-    if (!placed) {
-      color[victim] = ++max_color;
-      WDAG_ASSERT(index.fits(lv.family, color, victim, max_color),
-                  "split_merge: fresh color still conflicts");
+      counts.move(arcs, color[victim], c);
+      color[victim] = c;
     }
   }
 
@@ -306,20 +359,20 @@ void merge_level(Arena& ar, Level& lv, std::span<const std::uint32_t> sub,
 /// Color-elimination descent: repeatedly dissolve the least-used color
 /// class by first-fitting its members into other classes. Runs once, on
 /// the top-level family (the first `n` paths of `ps`), with a round cap;
-/// every move is validated by the index, so the assignment stays proper
-/// throughout.
+/// every move is checked against the count table, so the assignment stays
+/// proper throughout, and a class that cannot be dissolved is rolled back.
 void reduce_color_classes(Arena& ar, const Digraph& g, const FlatFamily& ps,
                           std::size_t n, std::vector<std::uint32_t>& color,
                           std::size_t max_rounds = 64) {
   if (n == 0) return;
-  ConflictIndex& index = ar.index;
-  index.build(g.num_arcs(), ps, n);
   std::uint32_t max_color = 0;
   for (const auto c : color) max_color = std::max(max_color, c);
+  ColorCounts& counts = ar.counts;
+  counts.build(g.num_arcs(), ps, n, color, std::size_t{max_color} + 1);
 
   auto& usage = ar.usage;
   auto& classes = ar.classes;
-  auto& attempt = ar.attempt;
+  auto& moved = ar.moved;
   for (std::size_t round = 0; round < max_rounds; ++round) {
     usage.assign(max_color + 1, 0);
     for (const auto c : color) ++usage[c];
@@ -332,25 +385,30 @@ void reduce_color_classes(Arena& ar, const Digraph& g, const FlatFamily& ps,
               [&](std::uint32_t a, std::uint32_t b) { return usage[a] < usage[b]; });
     bool improved = false;
     for (const std::uint32_t victim_class : classes) {
-      attempt.assign(color.begin(), color.end());
+      moved.clear();
       bool ok = true;
-      for (std::size_t i = 0; i < n && ok; ++i) {
-        if (attempt[i] != victim_class) continue;
-        bool moved = false;
+      for (std::uint32_t i = 0; i < n && ok; ++i) {
+        if (color[i] != victim_class) continue;
+        const auto arcs = ps.path(i);
+        ok = false;
         for (const std::uint32_t c : classes) {
-          if (c == victim_class) continue;
-          if (index.fits(ps, attempt, i, c)) {
-            attempt[i] = c;
-            moved = true;
-            break;
+          if (c == victim_class || !counts.fits(arcs, victim_class, c)) {
+            continue;
           }
+          counts.move(arcs, victim_class, c);
+          color[i] = c;
+          moved.push_back(i);
+          ok = true;
+          break;
         }
-        ok = moved;
       }
       if (ok) {
-        color.assign(attempt.begin(), attempt.end());
         improved = true;
         break;
+      }
+      for (const std::uint32_t i : moved) {
+        counts.move(ps.path(i), color[i], victim_class);
+        color[i] = victim_class;
       }
     }
     if (!improved) return;
@@ -380,16 +438,18 @@ SplitMergeResult color_upp_split_merge(const DipathFamily& family,
   top.family = family.flat();  // level 0 gets padded, so it takes a copy
   top.internal.assign(report.internal_arcs.begin(),
                       report.internal_arcs.end());
+  res.load = loads_of_into(top, ar.loads);
 
-  // Descend: split one internal cycle per level until none is left. One
-  // cycle search per level answers both "is there one?" and "which one?".
-  std::size_t depth = 0;
-  for (;; ++depth) {
-    Level& cur = ar.level(depth);
-    const std::size_t pi = loads_of_into(cur, ar.loads);
-    if (depth == 0) res.load = pi;
-    if (!dag::find_internal_cycle(*cur.graph, cur.internal, ar.cycle)) break;
-    split_level(ar, cur, ar.level(depth + 1), pi);
+  // Descend: split one internal cycle per level. Splitting an arc of an
+  // internal cycle lowers the internal sub-multigraph's cyclomatic number
+  // by exactly one, so the descent takes report.internal_cycles levels.
+  const std::size_t depth = report.internal_cycles;
+  for (std::size_t d = 0; d < depth; ++d) {
+    Level& cur = ar.level(d);
+    const bool found =
+        dag::find_internal_cycle(*cur.graph, cur.internal, ar.cycle);
+    WDAG_ASSERT(found, "split_merge: fewer internal cycles than classified");
+    split_level(ar, cur, ar.level(d + 1), res.load);
   }
   res.levels = depth;
 
@@ -398,6 +458,8 @@ SplitMergeResult color_upp_split_merge(const DipathFamily& family,
   // preconditions hold by construction. A split graph is a new graph and
   // needs its own Kahn order; an unsplit host already has the report's.
   const Level& bottom = ar.levels[depth];
+  WDAG_ASSERT(dag::internal_cycle_count(*bottom.graph, bottom.internal) == 0,
+              "split_merge: an internal cycle is left after the descent");
   std::span<const VertexId> order = report.topo_order;
   if (depth > 0) {
     const bool sorted =

@@ -26,6 +26,24 @@ struct IncEntry {
   std::uint32_t pos;
 };
 
+/// A set over 0 .. n - 1 that empties in O(1): i is in it iff
+/// mark[i] == epoch, so a new epoch drops every member at once.
+struct StampSet {
+  std::vector<std::uint32_t> mark;
+  std::uint32_t epoch = 0;
+
+  /// Empties the set and sizes it for members 0 .. n - 1.
+  void reset(std::size_t n) {
+    if (mark.size() < n) mark.resize(n, 0);
+    if (++epoch == 0) {  // wrapped: clear the marks once
+      std::fill(mark.begin(), mark.end(), 0);
+      epoch = 1;
+    }
+  }
+  [[nodiscard]] bool contains(std::uint32_t i) const { return mark[i] == epoch; }
+  void insert(std::uint32_t i) { mark[i] = epoch; }
+};
+
 /// Reusable buffers of the replay. One instance per thread: the batch
 /// engine pushes thousands of instances through color_equal_load per
 /// worker, and the replay's small per-arc vectors dominated its cost.
@@ -35,8 +53,10 @@ struct Scratch {
   std::vector<std::uint32_t> begin;
   std::vector<std::uint32_t> color;
   std::vector<PathId> actives, newborns, frontier, next;
-  std::vector<std::uint32_t> owner, cursor;
-  std::vector<std::uint8_t> used, flipped;
+  std::vector<std::uint32_t> cursor;
+  StampSet held;                     ///< colors held by the actives
+  std::vector<std::uint32_t> owner;  ///< per held color: an active holding it
+  StampSet flipped;                  ///< paths the current chain flipped
 };
 
 Scratch& scratch() {
@@ -68,7 +88,6 @@ struct Replay {
     s.inc_entries.resize(family.arcs.size());
     s.begin.resize(n);
     s.color.assign(n, kNone);
-    s.flipped.assign(n, 0);
     s.cursor.assign(s.inc_offsets.begin(), s.inc_offsets.end() - 1);
     for (PathId p = 0; p < n; ++p) {
       const auto arcs = family.path(p);
@@ -111,11 +130,11 @@ struct Replay {
   void chain_flip(PathId kept, PathId start, std::uint32_t alpha,
                   std::uint32_t beta) {
     ++chain_recolorings;
-    std::fill(s.flipped.begin(), s.flipped.end(), 0);
+    s.flipped.reset(family.size());
     s.frontier.clear();
     s.frontier.push_back(start);
     s.color[start] = beta;
-    s.flipped[start] = 1;
+    s.flipped.insert(start);
     ++paths_flipped;
     std::uint32_t from = beta;  // color whose holders now conflict with the
                                 // frontier (they kept `from`, frontier holds
@@ -130,7 +149,7 @@ struct Replay {
         conflicts_with_color(f, from, s.next);
         for (std::size_t i = before; i < s.next.size(); ++i) {
           const PathId q = s.next[i];
-          WDAG_ASSERT(!s.flipped[q],
+          WDAG_ASSERT(!s.flipped.contains(q),
                       "theorem1 chain: case B (re-flip) occurred; the host "
                       "graph must contain an internal cycle");
           WDAG_ASSERT(q != kept,
@@ -140,7 +159,7 @@ struct Replay {
       }
       for (const PathId q : s.next) {
         s.color[q] = to;
-        s.flipped[q] = 1;
+        s.flipped.insert(q);
         ++paths_flipped;
       }
       std::swap(s.frontier, s.next);
@@ -172,40 +191,34 @@ struct Replay {
 
     // Make the active suffix colors pairwise distinct (paper's recoloring).
     // Each successful chain strictly increases the number of distinct
-    // colors used by `actives`, so at most |actives| rounds run.
+    // colors used by `actives`, so at most |actives| rounds run. One pass
+    // per round finds a duplicated color alpha with its two paths, and
+    // leaves the actives' colors in `held`.
     for (std::size_t guard = 0;; ++guard) {
       WDAG_ASSERT(guard <= s.actives.size() + 1,
                   "theorem1: distinct-color loop failed to make progress");
-      // Find a duplicated color alpha with its two paths.
+      s.held.reset(palette);
+      if (s.owner.size() < palette) s.owner.resize(palette);
       PathId kept = kNone, dup = kNone;
-      {
-        s.owner.assign(palette, kNone);
-        for (const PathId p : s.actives) {
-          const std::uint32_t c = s.color[p];
-          WDAG_ASSERT(c != kNone && c < palette,
-                      "theorem1: active path without a palette color");
-          if (s.owner[c] == kNone) {
-            s.owner[c] = p;
-          } else if (dup == kNone) {
-            kept = s.owner[c];
-            dup = p;
-          }
+      for (const PathId p : s.actives) {
+        const std::uint32_t c = s.color[p];
+        WDAG_ASSERT(c != kNone && c < palette,
+                    "theorem1: active path without a palette color");
+        if (!s.held.contains(c)) {
+          s.held.insert(c);
+          s.owner[c] = p;
+        } else if (dup == kNone) {
+          kept = s.owner[c];
+          dup = p;
         }
       }
       if (dup == kNone) break;  // all distinct
 
       // beta: a palette color used by no active suffix. It exists because
       // the actives use at most |actives|-1 <= |through|-1 < palette colors.
-      s.used.assign(palette, 0);
-      for (const PathId p : s.actives) s.used[s.color[p]] = 1;
-      std::uint32_t beta = kNone;
-      for (std::uint32_t c = 0; c < palette; ++c) {
-        if (!s.used[c]) {
-          beta = c;
-          break;
-        }
-      }
-      WDAG_ASSERT(beta != kNone, "theorem1: no free color for the chain");
+      std::uint32_t beta = 0;
+      while (beta < palette && s.held.contains(beta)) ++beta;
+      WDAG_ASSERT(beta < palette, "theorem1: no free color for the chain");
       chain_flip(kept, dup, s.color[dup], beta);
     }
 
@@ -214,18 +227,15 @@ struct Replay {
       s.begin[s.inc_entries[i].p] = s.inc_entries[i].pos;
     }
 
-    // Color the newborn single-arc paths with colors unused on e.
-    if (!s.newborns.empty()) {
-      s.used.assign(palette, 0);
-      for (const PathId p : s.actives) s.used[s.color[p]] = 1;
-      std::size_t next = 0;
-      for (const PathId p : s.newborns) {
-        while (next < palette && s.used[next]) ++next;
-        WDAG_ASSERT(next < palette,
-                    "theorem1: palette exhausted while coloring newborns");
-        s.color[p] = static_cast<std::uint32_t>(next);
-        s.used[next] = 1;
-      }
+    // Color the newborn single-arc paths with colors unused on e: the last
+    // round above left exactly the actives' colors held.
+    std::uint32_t next = 0;
+    for (const PathId p : s.newborns) {
+      while (next < palette && s.held.contains(next)) ++next;
+      WDAG_ASSERT(next < palette,
+                  "theorem1: palette exhausted while coloring newborns");
+      s.color[p] = next;
+      s.held.insert(next);
     }
   }
 };

@@ -104,6 +104,8 @@ class Digraph {
   // CSR-style incidence: out_begin_[v] .. out_begin_[v+1] index out_list_.
   std::vector<std::uint32_t> out_begin_, in_begin_;
   std::vector<ArcId> out_list_, in_list_;
+  // Names of vertices 0 .. names_.size() - 1; a vertex past the end is
+  // unnamed, so a graph without names keeps an empty vector.
   std::vector<std::string> names_;
 };
 
@@ -123,8 +125,7 @@ class DigraphBuilder {
   VertexId vertex(const std::string& name);
 
   /// Adds arc u -> v (u and v are created if needed). Returns the arc id.
-  /// Inline: generators and the split-merge recursion add arcs in tight
-  /// loops across translation units.
+  /// Inline: generators add arcs in tight loops across translation units.
   ArcId add_arc(VertexId u, VertexId v) {
     WDAG_REQUIRE(u != v, "DigraphBuilder::add_arc: self-loops are not allowed");
     ensure_vertex(u);
@@ -137,7 +138,7 @@ class DigraphBuilder {
   ArcId add_arc(const std::string& u, const std::string& v);
 
   /// Number of vertices created so far.
-  [[nodiscard]] std::size_t num_vertices() const { return names_.size(); }
+  [[nodiscard]] std::size_t num_vertices() const { return num_vertices_; }
 
   /// Number of arcs added so far.
   [[nodiscard]] std::size_t num_arcs() const { return arcs_.size(); }
@@ -145,14 +146,6 @@ class DigraphBuilder {
   /// Reserves room for m arcs, so a generator that knows its arc count
   /// grows the arc vector once.
   void reserve_arcs(std::size_t m) { arcs_.reserve(m); }
-
-  /// Empties the builder down to n unnamed vertices, keeping its storage
-  /// (the split-merge recursion rebuilds one graph per level).
-  void reset(std::size_t n) {
-    arcs_.clear();
-    names_.clear();
-    names_.resize(n);
-  }
 
   /// Freezes the builder into an immutable Digraph.
   [[nodiscard]] Digraph build() const&;
@@ -164,16 +157,29 @@ class DigraphBuilder {
   /// build(), into `out`, reusing its storage.
   void build_into(Digraph& out) const;
 
+  /// Writes into `out` (reusing its storage) the split of g along arc ab =
+  /// (a,b): ab is removed, every arc e > ab is renumbered e - 1, and two
+  /// unnamed vertices s = n and t = n + 1 are added with the arcs (a,s)
+  /// and (t,b), which take the two largest ids. Derived from g's incidence
+  /// tables in O(n + m), without a rebuild; equal to rebuilding the same
+  /// arc list. Every old vertex keeps its degrees, and (a,s) and (t,b)
+  /// come last in a's out-list and b's in-list. `out` carries no vertex
+  /// names, and must not be g.
+  static void split_into(const Digraph& g, ArcId ab, Digraph& out);
+
  private:
-  /// Fills g's incidence tables from its arcs and its vertex count.
-  static void index(Digraph& g);
+  /// Fills g's incidence tables from its arcs and `n` vertices.
+  static void index(Digraph& g, std::size_t n);
 
   void ensure_vertex(VertexId v) {
     if (v == kNoVertex) return;
-    if (names_.size() <= v) names_.resize(static_cast<std::size_t>(v) + 1);
+    if (num_vertices_ <= v) num_vertices_ = static_cast<std::size_t>(v) + 1;
   }
 
   std::vector<Arc> arcs_;
+  std::size_t num_vertices_ = 0;
+  // Names of vertices 0 .. names_.size() - 1 (see Digraph::names_): empty
+  // until a vertex is named.
   std::vector<std::string> names_;
 };
 

@@ -8,6 +8,7 @@
 #include "graph/digraph.hpp"
 #include "helpers.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -62,6 +63,26 @@ TEST(DigraphBuilderTest, UnnamedLabelFallsBack) {
   EXPECT_EQ(g.vertex_label(0), "v0");
 }
 
+TEST(DigraphBuilderTest, UnnamedVerticesHaveEmptyNames) {
+  // Named and unnamed vertices mixed: names are kept only up to the last
+  // named vertex, and the rest read as unnamed.
+  DigraphBuilder b;
+  const auto u = b.add_vertex();
+  const auto v = b.add_vertex("beta");
+  b.add_arc(u, v);
+  b.add_arc(v, 4);  // implicit unnamed vertices 2..4
+  const Digraph g = b.build();
+  ASSERT_EQ(g.num_vertices(), 5u);
+  EXPECT_EQ(g.vertex_name(u), "");
+  EXPECT_EQ(g.vertex_label(u), "v0");
+  EXPECT_EQ(g.vertex_label(v), "beta");
+  EXPECT_EQ(g.vertex_name(4), "");
+  EXPECT_EQ(g.vertex_label(4), "v4");
+  EXPECT_EQ(g.vertex_by_name("beta"), v);
+  EXPECT_FALSE(g.vertex_by_name("").has_value());
+  EXPECT_FALSE(wdag::test::chain(3).vertex_by_name("").has_value());
+}
+
 TEST(DigraphBuilderTest, NamedArcAddition) {
   DigraphBuilder b;
   b.add_arc("x", "y");
@@ -91,6 +112,84 @@ TEST(DigraphBuilderTest, RvalueBuildMatchesCopyingBuild) {
   EXPECT_EQ(b.num_arcs(), 0u);
   b.add_arc(0, 1);
   EXPECT_EQ(std::move(b).build().num_arcs(), 1u);
+}
+
+/// The split of g along ab, rebuilt arc by arc: the arcs other than ab in
+/// id order, then (a,s) and (t,b) on two fresh vertices.
+Digraph rebuilt_split(const Digraph& g, wdag::graph::ArcId ab) {
+  DigraphBuilder b(g.num_vertices());
+  for (wdag::graph::ArcId e = 0; e < g.num_arcs(); ++e) {
+    if (e != ab) b.add_arc(g.tail(e), g.head(e));
+  }
+  const auto s = b.add_vertex();
+  const auto t = b.add_vertex();
+  b.add_arc(g.tail(ab), s);
+  b.add_arc(t, g.head(ab));
+  return b.build();
+}
+
+void expect_same_graph(const Digraph& got, const Digraph& want) {
+  ASSERT_EQ(got.num_vertices(), want.num_vertices());
+  EXPECT_EQ(got.arcs(), want.arcs());
+  for (wdag::graph::VertexId v = 0; v < want.num_vertices(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(got.out_arcs(v), want.out_arcs(v)))
+        << "out-arcs of " << v;
+    EXPECT_TRUE(std::ranges::equal(got.in_arcs(v), want.in_arcs(v)))
+        << "in-arcs of " << v;
+    EXPECT_EQ(got.vertex_name(v), "");
+  }
+}
+
+TEST(DigraphBuilderTest, SplitIntoMatchesARebuildForEveryArc) {
+  // Random DAGs (arcs from lower to higher ids) with parallel arcs and
+  // tails of several out-arcs; every arc is split, the first and the last
+  // id included, and each split is split again along its first, a middle
+  // and its last arc, as the split-merge recursion splits split graphs.
+  wdag::util::Xoshiro256 rng(17);
+  Digraph split, again;  // reused across splits, like a recursion level
+  std::size_t parallel = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 2 + rng.below(9);
+    const std::size_t m = 1 + rng.below(3 * n);
+    DigraphBuilder b(n);
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto u = static_cast<wdag::graph::VertexId>(rng.below(n - 1));
+      const auto v = static_cast<wdag::graph::VertexId>(
+          u + 1 + rng.below(n - 1 - u));
+      b.add_arc(u, v);
+      if (i > 0 && rng.below(4) == 0) {
+        b.add_arc(u, v);
+        ++parallel;
+      }
+    }
+    const Digraph g = b.build();
+    for (wdag::graph::ArcId ab = 0; ab < g.num_arcs(); ++ab) {
+      DigraphBuilder::split_into(g, ab, split);
+      expect_same_graph(split, rebuilt_split(g, ab));
+      const std::size_t sm = split.num_arcs();
+      for (const wdag::graph::ArcId e : {std::size_t{0}, sm / 2, sm - 1}) {
+        const auto id = static_cast<wdag::graph::ArcId>(e);
+        DigraphBuilder::split_into(split, id, again);
+        expect_same_graph(again, rebuilt_split(split, id));
+      }
+    }
+  }
+  EXPECT_GT(parallel, 20u);
+}
+
+TEST(DigraphBuilderTest, SplitIntoOfANamedHostIsUnnamed) {
+  DigraphBuilder b;
+  b.add_arc("x", "y");
+  b.add_arc("y", "z");
+  const Digraph g = b.build();
+  Digraph split;
+  DigraphBuilder::split_into(g, 1, split);
+  ASSERT_EQ(split.num_vertices(), 5u);
+  EXPECT_EQ(split.arc(1), (Arc{1, 3}));  // (y,s)
+  EXPECT_EQ(split.arc(2), (Arc{4, 2}));  // (t,z)
+  EXPECT_EQ(split.vertex_label(0), "v0");
+  EXPECT_FALSE(split.vertex_by_name("x").has_value());
+  EXPECT_THROW(DigraphBuilder::split_into(g, 2, split), wdag::InvalidArgument);
 }
 
 TEST(DigraphTest, AdjacencyLists) {

@@ -10,6 +10,12 @@
 // The same loop checks the split recursion's depth against the host's
 // cyclomatic internal-cycle count: each split removes exactly one
 // internal cycle, so SplitMergeResult::levels == DagReport::internal_cycles.
+//
+// solve_with certifies every split-merge result with w > pi exactly and
+// replaces it, so its digest does not see a change to split-merge's own
+// fix-up or color-class descent that keeps w > pi. A second digest pins
+// color_upp_split_merge itself (coloring, w, levels, fix-ups, tau-cycle
+// classes) over the same random-upp streams.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +25,7 @@
 
 #include "api/strategy.hpp"
 #include "core/split_merge.hpp"
+#include "dag/classify.hpp"
 #include "gen/workloads.hpp"
 #include "util/rng.hpp"
 
@@ -58,14 +65,43 @@ struct Digest {
     }
   }
 
+  /// Folds split-merge's own result into the digest (UPP-DAG hosts only).
+  void split_merge(const wdag::gen::Instance& inst) {
+    const auto report = wdag::dag::classify(*inst.graph);
+    if (!report.is_dag || !report.is_upp) return;
+    const auto sm = wdag::core::color_upp_split_merge(inst.family, report);
+    word(sm.wavelengths);
+    word(sm.levels);
+    word(sm.fixups);
+    word(sm.cycle_classes);
+    word(sm.coloring.size());
+    for (const std::uint32_t c : sm.coloring) word(c);
+    ++split_merge_checks;
+  }
+
   void draws(const std::string& name, const WorkloadParams& params,
-             std::uint64_t seed, std::size_t count) {
+             std::uint64_t seed, std::size_t count, bool raw = false) {
     wdag::util::Xoshiro256 rng(seed);
     for (std::size_t i = 0; i < count; ++i) {
-      solve(wdag::gen::workload_instance(name, params, rng));
+      const auto inst = wdag::gen::workload_instance(name, params, rng);
+      if (raw) {
+        split_merge(inst);
+      } else {
+        solve(inst);
+      }
     }
   }
 };
+
+/// The deeper random-upp stream: more cycle pairs, longer runs and chains.
+WorkloadParams deep_upp() {
+  WorkloadParams deep;
+  deep.k = 5;
+  deep.run_len = 2;
+  deep.chain = 2;
+  deep.paths = 48;
+  return deep;
+}
 
 std::string hex(std::uint64_t v) {
   char buf[19];
@@ -77,15 +113,19 @@ std::string hex(std::uint64_t v) {
 TEST(SplitMergeGoldenTest, RandomUppColoringsArePinned) {
   Digest d;
   d.draws("random-upp", WorkloadParams{}, 20261019, 20'000);
-  // Deeper gadgets: more cycle pairs, longer runs and chains.
-  WorkloadParams deep;
-  deep.k = 5;
-  deep.run_len = 2;
-  deep.chain = 2;
-  deep.paths = 48;
-  d.draws("random-upp", deep, 7, 2'000);
+  d.draws("random-upp", deep_upp(), 7, 2'000);
   EXPECT_GT(d.split_merge_checks, 15'000u);
   EXPECT_EQ(hex(d.h), "0xbcc55cbed25045d9");
+}
+
+TEST(SplitMergeGoldenTest, RandomUppSplitMergeOutputIsPinned) {
+  // Split-merge's raw output, before exact certification replaces any of
+  // it: this pins the fix-up and the color-class descent.
+  Digest d;
+  d.draws("random-upp", WorkloadParams{}, 20261019, 20'000, true);
+  d.draws("random-upp", deep_upp(), 7, 2'000, true);
+  EXPECT_GT(d.split_merge_checks, 15'000u);
+  EXPECT_EQ(hex(d.h), "0x8575fa2dd7b5e442");
 }
 
 TEST(SplitMergeGoldenTest, NoInternalColoringsArePinned) {
